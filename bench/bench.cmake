@@ -83,19 +83,20 @@ set_tests_properties(bench_tseries_overhead_smoke PROPERTIES
     "determinism: results bit-identical with the sink attached.*acceptance: timeline sink overhead within 5%")
 
 zc_bench_binary(bench_engine_scaling)
+target_link_libraries(bench_engine_scaling PRIVATE zc_sim_reference)
 
-# Smoke-run the engine-scaling harness on a tiny mesh: asserts the
-# event-driven core and the lockstep reference produce bit-identical result
-# checksums on every (benchmark, procs) cell. The speedup numbers are
-# hardware-dependent and never gated here — the committed
-# BENCH_engine_scaling.json carries the full 64..4096 ladder.
+# Smoke-run the engine-scaling harness on a tiny mesh: asserts the engine
+# and the reference interpreter produce bit-identical result checksums on
+# every benchmark. The timings are hardware-dependent and never gated here
+# — the committed BENCH_engine_scaling.json carries the full 64..4096
+# ladder.
 add_test(NAME bench_engine_scaling_smoke
   COMMAND bench_engine_scaling --procs=4
           --bench-json=${CMAKE_BINARY_DIR}/bench/BENCH_engine_scaling_smoke.json)
 set_tests_properties(bench_engine_scaling_smoke PROPERTIES
   LABELS "smoke;tsan"
   PASS_REGULAR_EXPRESSION
-    "determinism: event and lockstep checksums bit-identical on every cell")
+    "determinism: engine checksums match the reference on every rung")
 
 zc_bench_binary(bench_abl_hybrid)
 zc_bench_binary(bench_abl_interblock)
@@ -107,8 +108,8 @@ set_target_properties(bench_micro_passes PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 
 # Smoke-run the phase-split section (micros skipped via a non-matching
-# filter, tiny mesh): asserts the two engine cores agree bit-identically on
-# the phase-split workload. The sim_phase_speedup value is
+# filter, tiny mesh): asserts every sim sample and the traced run agree
+# bit-identically on the phase-split workload. The phase timings are
 # hardware-dependent and never gated here — the committed
 # BENCH_micro_passes.json carries the 4096-processor evidence and
 # `zcomm_bench check` trend-gates it.
@@ -117,7 +118,7 @@ add_test(NAME bench_micro_passes_smoke
           --bench-json=${CMAKE_BINARY_DIR}/bench/BENCH_micro_passes_smoke.json)
 set_tests_properties(bench_micro_passes_smoke PROPERTIES
   LABELS "smoke;tsan"
-  PASS_REGULAR_EXPRESSION "determinism: phase-split engine checksums bit-identical")
+  PASS_REGULAR_EXPRESSION "determinism: phase-split checksums identical across samples and traced")
 
 add_executable(bench_trace_overhead bench/bench_trace_overhead.cpp)
 target_link_libraries(bench_trace_overhead PRIVATE zc_bench benchmark::benchmark)

@@ -10,29 +10,25 @@
 //   * a phase-split section that times the pipeline's three phases — plan
 //     (comm optimization), sim (the engine run), analysis (trace stats +
 //     blame + critical path on a traced run) — and writes them to
-//     BENCH_micro_passes.json through the shared envelope writer, with the
-//     sim phase measured under BOTH engine cores. The `sim_phase_speedup`
-//     field (event vs lockstep on the same workload) is the number the
-//     engine rewrite is accountable for; `zcomm_bench check` trend-gates
-//     it like any higher-is-better metric.
+//     BENCH_micro_passes.json through the shared envelope writer;
+//     `zcomm_bench check` trend-gates each phase's median_ns per host class.
 //
 // The phase-split workload is a jacobi-style stencil with a scalar-heavy
 // loop body, an inner loop of single-cell "control point" updates, and no
 // global reduction, on a deliberately overdecomposed mesh (--procs
 // processors on a 32x32 interior): per-statement scheduling overhead
 // dominates per-element arithmetic there, which is exactly the regime the
-// event-driven core exists for. The lockstep core pays O(procs) per scalar
-// statement, per loop-iteration bookkeeping step, and — the dominant term —
-// per region evaluation of every statement execution, even when one
-// processor is active; the event core's deferred-bump log and precomputed
-// active-processor lists make those O(1) / O(active). Reductions are
-// deliberately absent: they cost O(procs) in BOTH cores (every processor
-// contributes a combine and a barrier stage — that is the semantics), so
-// they would only dilute the number this gate is accountable for.
+// event-driven engine exists for. Its deferred-bump log and precomputed
+// active-processor lists make scalar statements, loop bookkeeping and
+// single-cell region statements O(1) / O(active) rather than O(procs).
+// Reductions are deliberately absent: they cost O(procs) by their semantics
+// (every processor contributes a combine and a barrier stage), so they would
+// only dilute what the sim phase measures.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -180,8 +176,8 @@ procedure main() {
     relax := relax + 0.0001 * (2.0 - relax);
     w := 0.25 * damp + 0.0 * bias + 0.0 * t;
     -- Control-cell pokes: single-element static regions, active on exactly
-    -- one processor. The event core's cached active list makes each O(1);
-    -- the lockstep core re-scans every processor per execution.
+    -- one processor. The engine's cached active list makes each O(1)
+    -- instead of a scan over every processor.
     for k in 1..probe {
       [0, 0] A := A + 0.0 * w;
       [0, n+1] A := A + 0.0 * t;
@@ -203,41 +199,28 @@ void run_phase_split(const bench::Options& options) {
   const std::map<std::string, long long> configs = {
       {"n", kN}, {"iters", kIters}, {"probe", kProbe}};
 
-  auto run_cfg = [&](sim::EngineKind engine) {
-    sim::RunConfig cfg;
-    cfg.procs = options.procs;
-    cfg.engine = engine;
-    cfg.config_overrides = configs;
-    return cfg;
-  };
+  sim::RunConfig cfg;
+  cfg.procs = options.procs;
+  cfg.config_overrides = configs;
 
   // Phase 1: communication planning (pure compiler work, engine-free).
   Phase plan_phase{"sched/plan", {}};
   sample(plan_phase, 16, [&] { benchmark::DoNotOptimize(comm::plan_communication(p, opts)); });
   const comm::CommPlan plan = comm::plan_communication(p, opts);
 
-  // Phase 2: simulation, both engine cores on the identical (program, plan,
-  // config). Bit-identity is asserted — a speedup over a different answer
-  // would be meaningless.
+  // Phase 2: simulation. Every sample must compute the same answer.
   const int sim_samples = options.procs >= 1024 ? 3 : 5;
-  std::uint64_t event_sum = 0;
-  std::uint64_t lockstep_sum = 0;
+  std::vector<std::uint64_t> sums;
   Phase sim_phase{"sched/sim", {}};
-  sample(sim_phase, sim_samples, [&] {
-    event_sum = exec::result_checksum(sim::run_program(p, plan, run_cfg(sim::EngineKind::kEvent)));
-  });
-  Phase lockstep_phase{"sched/sim_lockstep", {}};
-  sample(lockstep_phase, sim_samples, [&] {
-    lockstep_sum =
-        exec::result_checksum(sim::run_program(p, plan, run_cfg(sim::EngineKind::kLockstep)));
-  });
+  sample(sim_phase, sim_samples,
+         [&] { sums.push_back(exec::result_checksum(sim::run_program(p, plan, cfg))); });
 
-  // Phase 3: post-run analysis on a traced event run (exact aggregates,
-  // per-group blame, critical-path walk).
+  // Phase 3: post-run analysis on a traced run (exact aggregates,
+  // per-group blame, critical-path walk). Tracing must not perturb the run.
   trace::Recorder recorder(options.procs);
-  sim::RunConfig traced = run_cfg(sim::EngineKind::kEvent);
+  sim::RunConfig traced = cfg;
   traced.recorder = &recorder;
-  sim::run_program(p, plan, traced);
+  sums.push_back(exec::result_checksum(sim::run_program(p, plan, traced)));
   Phase analysis_phase{"sched/analysis", {}};
   sample(analysis_phase, 8, [&] {
     benchmark::DoNotOptimize(trace::compute_stats(recorder));
@@ -245,26 +228,21 @@ void run_phase_split(const bench::Options& options) {
     benchmark::DoNotOptimize(analysis::compute_critical_path(recorder, p, plan));
   });
 
-  const double speedup = median(sim_phase.ns) > 0
-                             ? median(lockstep_phase.ns) / median(sim_phase.ns)
-                             : 0.0;
-
   std::printf("\nphase split (sched, n=%lld, iters=%lld, procs=%d):\n", kN, kIters,
               options.procs);
-  for (const Phase* ph : {&plan_phase, &sim_phase, &lockstep_phase, &analysis_phase}) {
+  for (const Phase* ph : {&plan_phase, &sim_phase, &analysis_phase}) {
     std::printf("  %-22s %10.2f ms  (p10 %.2f, p90 %.2f, %zu samples)\n", ph->name.c_str(),
                 median(ph->ns) / 1e6, pct(ph->ns, 0.1) / 1e6, pct(ph->ns, 0.9) / 1e6,
                 ph->ns.size());
   }
-  std::printf("  sim-phase speedup (event vs lockstep): %.2fx\n", speedup);
-  if (event_sum != lockstep_sum) {
-    std::printf("FAIL: engine cores disagree on the phase-split workload\n");
+  if (!std::all_of(sums.begin(), sums.end(), [&](std::uint64_t s) { return s == sums.front(); })) {
+    std::printf("FAIL: phase-split runs disagree across samples or with tracing on\n");
     std::exit(1);
   }
-  std::printf("determinism: phase-split engine checksums bit-identical\n");
+  std::printf("determinism: phase-split checksums identical across samples and traced\n");
 
   json::Value results = json::Value::make_array();
-  for (const Phase* ph : {&plan_phase, &sim_phase, &lockstep_phase, &analysis_phase}) {
+  for (const Phase* ph : {&plan_phase, &sim_phase, &analysis_phase}) {
     json::Value r = json::Value::make_object();
     r["name"] = json::Value::make_str(ph->name);
     json::Value params = json::Value::make_object();
@@ -282,7 +260,6 @@ void run_phase_split(const bench::Options& options) {
   doc["schema"] = json::Value::make_str("zcomm-bench-perf");
   doc["bench"] = json::Value::make_str(options.bench_name);
   doc["results"] = std::move(results);
-  doc["sim_phase_speedup"] = json::Value::make_num(speedup);
   bench::write_bench_json(doc, options);
 }
 

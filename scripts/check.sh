@@ -37,7 +37,7 @@ ctest --test-dir "$BUILD_DIR" -L smoke --output-on-failure -j
 # identical, the message count must scale up with the mesh, and the
 # converged residual must hold (the partition only changes the FP
 # summation association, never the result): "counts scale, checksums
-# hold". The bitwise event-vs-lockstep contract is the engine_event_test
+# hold". The bitwise engine-vs-reference contract is the engine_event_test
 # suite's job; this probes the report surface end to end at scale.
 run_scale() {
   "$BUILD_DIR"/examples/zplc --builtin tomcatv --level=pl --procs="$1" \

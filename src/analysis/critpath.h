@@ -2,8 +2,8 @@
 // simulated dependences that determines the run's finish time, and how much
 // of it each communication occupies.
 //
-// The engine's timing (either core — lockstep and event-driven emit
-// bit-identical traces) is a constraint system — compute spans and
+// The engine's timing (the reference interpreter emits a bit-identical
+// trace) is a constraint system — compute spans and
 // IRONMAN CPU costs advance one processor's clock, messages carry time
 // across processors (a DN that waited was bound by its message's wire
 // transit, which was bound by the SR that sent it), and barriers bind every

@@ -279,8 +279,8 @@ class Lowerer {
     for (const comm::CommGroup& g : block.groups) {
       gidx.push_back(lower_group(block, g));
     }
-    // Call-slot order at each insertion point matches the lockstep engine's
-    // exec_comm_position: DR then SR, then DN then SV, in group order.
+    // Call-slot order at each insertion point matches the reference
+    // interpreter's: DR then SR, then DN then SV, in group order.
     const int n = static_cast<int>(block.stmts.size());
     for (int pos = 0; pos <= n; ++pos) {
       for (std::size_t k = 0; k < block.groups.size(); ++k) {
@@ -317,8 +317,8 @@ class Lowerer {
     return static_cast<std::int32_t>(sim_.groups.size()) - 1;
   }
 
-  /// The cost-model metadata the lockstep engine caches per statement,
-  /// folded with the exact expression shape of Engine::stmt_cost.
+  /// The cost-model metadata per statement, folded with the exact
+  /// expression shape of the reference interpreter's charge_compute.
   double per_elem_cost(zir::ExprId rhs) const {
     const int flops = zir::count_flops(p_, rhs);
     const int arrays_touched = static_cast<int>(zir::collect_arrays_read(p_, rhs).size()) + 1;
@@ -387,8 +387,8 @@ class Lowerer {
         return;
       }
       case zir::Stmt::Kind::kCall:
-        // Inlined: validation guarantees no recursion, and the lockstep
-        // engine executes the callee body in place exactly like this.
+        // Inlined: validation guarantees no recursion, and the reference
+        // interpreter executes the callee body in place exactly like this.
         lower_body(p_.proc(s.callee).body);
         return;
     }

@@ -1,11 +1,12 @@
 // Compiled ZIR: the lowering pass that flattens a (program, comm plan) pair
 // into a direct-threaded bytecode, plus the compiled-expression programs the
-// event-driven engine core executes (see src/sim/engine_event.cpp).
+// engine executes (see src/sim/engine.cpp).
 //
-// The lockstep interpreter walks the statement tree per executed statement:
-// map lookups to find the block plan, recursive expression evaluation with a
-// heap-allocated Value per node, and O(procs) geometry scans per
-// communication. Lowering hoists all of that to compile time:
+// The reference interpreter (src/sim/reference.h) walks the statement tree
+// per executed statement: map lookups to find the block plan, recursive
+// expression evaluation with a heap-allocated Value per node, and O(procs)
+// geometry scans per communication. Lowering hoists all of that to compile
+// time:
 //
 //   * control flow (loops, branches, calls, comm insertion points) becomes
 //     a flat instruction array with jump targets — calls are inlined
@@ -18,10 +19,11 @@
 //     decomposes into — is cached per evaluated member-region key, with
 //     transport channels pre-resolved per message.
 //
-// Everything here preserves the lockstep engine's observable behaviour
-// bit-for-bit: the same arithmetic in the same order per element, the same
-// transport/recorder/timeline call sequence, the same error messages.
-// DESIGN.md §15 states the argument; tests/engine_event_test.cpp pins it.
+// Everything here preserves the reference interpreter's observable
+// behaviour bit-for-bit: the same arithmetic in the same order per element,
+// the same transport/recorder/timeline call sequence, the same error
+// messages. DESIGN.md §15 states the argument; tests/engine_event_test.cpp
+// pins it.
 #pragma once
 
 #include <cstdint>
@@ -124,7 +126,7 @@ struct CompiledAssign {
   std::int32_t lhs_array = 0;
   ExprProg rhs;
   /// flops·flop_time + arrays_touched·elem_mem_time, precomputed with the
-  /// exact expression shape of Engine::stmt_cost.
+  /// exact expression shape of the reference interpreter's cost model.
   double per_elem_cost = 0.0;
   bool region_static = false;  ///< no loop variables in the region bounds
   rt::Box static_box;          ///< pre-evaluated when region_static
@@ -178,8 +180,7 @@ struct CommGeometry {
     std::vector<Part> parts;
     Transport::ChannelHandle channel;
     /// SR-captured payload, cleared at DN (retains capacity — the cached
-    /// geometry doubles as the allocation pool the lockstep engine keeps
-    /// per GroupExec).
+    /// geometry doubles as the payload's allocation pool).
     std::vector<double> payload;
   };
   std::vector<Msg> msgs;
@@ -213,56 +214,6 @@ struct CompiledSim {
   std::vector<CompiledLoop> loops;
   std::vector<CompiledIf> ifs;
   std::vector<CompiledGroup> groups;
-};
-
-// ---------------------------------------------------------------------------
-// Event-core runtime state.
-
-/// The event-driven engine core's mutable run state: the compiled program
-/// plus the deferred clock-bump log that makes uniform all-processor clock
-/// advances O(1).
-///
-/// Scalar statements, branch evaluations, and loop bookkeeping advance every
-/// processor's clock by the same amount. The lockstep core pays O(procs) per
-/// such statement; the event core appends the amount to `bump_log` and
-/// replays a processor's pending entries only when that clock is next
-/// observed (ev_touch). Replay is strictly sequential per processor — never
-/// coalesced — because float addition is not associative: (c+a)+b generally
-/// differs from c+(a+b) in the last bit, and the contract is bit-identity
-/// with lockstep.
-///
-/// Pristine memoization: a processor untouched since the last barrier
-/// (cursor 0, clock bit-equal to `pristine_base`) would replay exactly the
-/// shared prefix every other pristine processor replays. `pristine_value`
-/// caches that rolling sum (extended incrementally through `pristine_len`),
-/// so materializing P idle processors at a barrier costs O(P + log entries)
-/// instead of O(P · log entries).
-struct EventState {
-  CompiledSim sim;
-  ExprScratch scratch;
-
-  // Deferred uniform clock bumps.
-  std::vector<double> bump_log;
-  std::vector<std::size_t> bump_cursor;  ///< per proc: log entries replayed
-  double pristine_base = 0.0;   ///< clock value of an untouched processor
-  double pristine_value = 0.0;  ///< pristine_base + bump_log[0..pristine_len)
-  std::size_t pristine_len = 0;
-
-  /// Runtime frame of an active counted loop (kForInit..kForNext).
-  struct ForFrame {
-    std::int32_t loop = 0;  ///< index into CompiledSim::loops
-    long long i = 0;
-    long long hi = 0;
-    long long step = 1;
-    long long old_value = 0;  ///< saved binding of the loop variable
-    bool was_bound = false;
-  };
-  std::vector<ForFrame> for_stack;
-
-  // Reusable scratch (fully rewritten before each use).
-  std::vector<double> reduce_global;
-  std::vector<rt::Box> member_boxes;
-  std::vector<long long> geom_key;
 };
 
 /// Lowers the entry procedure (calls inlined, block plans pre-resolved,

@@ -3,121 +3,34 @@
 // execution time, and the paper's static/dynamic communication counts.
 //
 // Mini-ZPL has no processor-divergent control flow (loop bounds and branch
-// conditions are replicated scalars), so the engine holds P processor
-// states and executes every statement / IRONMAN call for the processors it
-// concerns before moving on. This is exact for this language class,
-// single-threaded, and deterministic — the substitution for the paper's
-// 64-node T3D runs.
+// conditions are replicated scalars), so every processor executes the same
+// instruction sequence. The engine lowers the program + plan to flat
+// bytecode (src/sim/bytecode.h) and runs it with a single walker that
+// touches, per instruction, only the processors it concerns; clock advances
+// common to every processor go through a deferred-bump log, so they cost
+// O(1) and idle processors cost nothing until observed. This is exact for
+// this language class, single-threaded, and deterministic — the
+// substitution for the paper's 64-node T3D runs — and it makes 4096+
+// simulated processors practical.
 //
-// Two cores share this contract (RunConfig::engine selects one):
-//
-//   kEvent (default)  compiles the program + plan to flat bytecode
-//                     (src/sim/bytecode.h) and drives per-processor virtual
-//                     clocks through a deferred-bump log, so statements that
-//                     advance every clock uniformly cost O(1) and idle
-//                     processors cost nothing until observed. This is what
-//                     makes 4096+ simulated processors practical.
-//   kLockstep         the original tree-walking interpreter: every
-//                     statement executes for every processor in turn. Kept
-//                     as the executable specification the event core is
-//                     golden-tested against (tests/engine_event_test.cpp);
-//                     prefer kEvent everywhere else.
-//
-// Both cores produce bit-identical results: RunResult scalars/checksums,
-// communication counts, trace::Stats, and windowed timelines all match
-// exactly. DESIGN.md §15 explains why.
+// The executable specification lives apart, in the test-only
+// zc_sim_reference library (src/sim/reference.h): a plain tree walk over the
+// same SimState. tests/engine_event_test.cpp holds the two bit-identical —
+// RunResult scalars/checksums, communication counts, trace::Stats, and
+// windowed timelines. DESIGN.md §15 explains why.
 #pragma once
 
-#include <map>
-#include <memory>
-#include <string>
+#include <cstdint>
 #include <vector>
 
-#include "src/comm/plan.h"
-#include "src/ironman/ironman.h"
-#include "src/machine/model.h"
-#include "src/runtime/darray.h"
-#include "src/runtime/eval.h"
-#include "src/runtime/layout.h"
-#include "src/sim/transport.h"
-#include "src/trace/recorder.h"
-#include "src/zir/program.h"
+#include "src/sim/bytecode.h"
+#include "src/sim/state.h"
 
 namespace zc::sim {
-
-struct CompiledAssign;
-struct CompiledReduce;
-struct CompiledGroup;
-struct CommGeometry;
-struct EventState;
-
-/// Which execution core runs the program (see the header comment).
-enum class EngineKind {
-  kEvent,     ///< compiled bytecode + event-driven virtual clocks (default)
-  kLockstep,  ///< tree-walking reference interpreter
-};
-
-struct RunConfig {
-  machine::MachineModel machine = machine::t3d_model();
-  ironman::CommLibrary library = ironman::CommLibrary::kPVM;
-  int procs = 64;
-  /// Execution core. Both produce bit-identical results; kEvent is the
-  /// fast one, kLockstep the reference it is golden-tested against.
-  EngineKind engine = EngineKind::kEvent;
-  /// Override config constants by name (e.g. problem size / iterations).
-  std::map<std::string, long long> config_overrides;
-  /// Optional trace recorder (see src/trace). nullptr — the default — means
-  /// tracing is off and the run does no event recording at all; the
-  /// recorder, when given, must cover at least `procs` processors. Tracing
-  /// never changes timing or numerics (golden-checked).
-  trace::Recorder* recorder = nullptr;
-  /// Optional windowed time-series sink (see src/tseries). nullptr — the
-  /// default — means no per-event accumulation at all, the same
-  /// zero-overhead-off contract as the recorder. When given, it must cover
-  /// at least `procs` rows; memory stays O(procs x windows) no matter how
-  /// many events the run produces, and the windowed sums reconcile with
-  /// trace::Stats / RunResult exactly. Never changes timing or numerics
-  /// (golden-checked, like tracing).
-  tseries::SimSeries* timeline = nullptr;
-};
-
-/// Per-processor communication counters.
-struct CommCounters {
-  /// Communications (group executions) in which this processor actually
-  /// sent or received data (a subset of the SPMD-wide dynamic count).
-  long long communications = 0;
-  long long messages_sent = 0;
-  long long messages_received = 0;
-  long long bytes_sent = 0;
-  long long bytes_received = 0;
-};
-
-struct RunResult {
-  double elapsed_seconds = 0.0;  ///< max processor clock at completion
-
-  /// The paper's dynamic count: communications (IRONMAN call sets) executed
-  /// by the SPMD program — identical on every processor, as in the paper's
-  /// "number of communications performed ... on a single processor".
-  long long dynamic_count = 0;
-  int center_proc = 0;
-
-  long long total_messages = 0;
-  long long total_bytes = 0;
-  long long reduction_count = 0;  ///< reductions executed (reported separately)
-
-  rt::Mesh mesh;
-  std::vector<CommCounters> per_proc;
-
-  /// Final scalar values and per-array checksums (sum over the declared
-  /// region), for verifying optimized runs against the reference.
-  std::map<std::string, double> scalars;
-  std::map<std::string, double> checksums;
-};
 
 class Engine {
  public:
   Engine(const zir::Program& program, const comm::CommPlan& plan, RunConfig config);
-  ~Engine();  // out of line: GroupExec / EventState are incomplete here
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -125,105 +38,74 @@ class Engine {
   RunResult run();
 
  private:
-  struct GroupExec;  // one in-progress execution of a CommGroup
-
-  /// Shared result assembly + metrics publication (both cores).
-  RunResult finish();
-
-  // --- lockstep core (engine.cpp) ----------------------------------------
-  void run_lockstep();
-  void exec_body(const std::vector<zir::StmtId>& body);
-  void exec_block(const comm::BlockPlan& block);
-  void exec_comm_position(const comm::BlockPlan& block, int pos);
-  void exec_stmt(zir::StmtId sid);
-  void exec_array_assign(const zir::Stmt& stmt);
-  void exec_scalar_assign(const zir::Stmt& stmt);
-
-  /// Fills `exec` (a pooled object — retained capacity, `live` reset by the
-  /// caller via acquire_exec) with the group's messages under the current
-  /// loop bindings.
-  void build_group_exec(const comm::BlockPlan& block, const comm::CommGroup& group,
-                        GroupExec& exec);
-  [[nodiscard]] std::unique_ptr<GroupExec> acquire_exec();
-  void recycle_exec(std::unique_ptr<GroupExec> exec);
-  void comm_dr(const comm::CommGroup& group, GroupExec& exec);
-  void comm_sr(const comm::CommGroup& group, GroupExec& exec);
-  void comm_dn(const comm::CommGroup& group, GroupExec& exec);
-  void comm_sv(const comm::CommGroup& group, GroupExec& exec);
-
-  [[nodiscard]] rt::EvalContext context_for(int proc) const;
-  [[nodiscard]] double stmt_cost(const zir::Stmt& stmt, long long elems) const;
-  void allreduce_clocks(double extra_per_stage);
-
-  // --- event-driven core (engine_event.cpp) ------------------------------
-  void run_event();
-  void ev_exec_assign(CompiledAssign& ca);
-  void ev_exec_reduce(CompiledReduce& cr);
-  void ev_comm_dr(CompiledGroup& cg);
-  void ev_comm_sr(CompiledGroup& cg);
-  void ev_comm_dn(CompiledGroup& cg);
-  void ev_comm_sv(CompiledGroup& cg);
+  /// The instruction loop, from pc 0 to kHalt.
+  void execute();
+  void exec_assign(CompiledAssign& ca);
+  void exec_reduce(CompiledReduce& cr);
+  void comm_dr(CompiledGroup& cg);
+  void comm_sr(CompiledGroup& cg);
+  void comm_dn(CompiledGroup& cg);
+  void comm_sv(CompiledGroup& cg);
   /// Resolves (building / caching) the group's message geometry for the
   /// current loop bindings and marks it outstanding.
-  CommGeometry& ev_resolve_geometry(CompiledGroup& cg);
-  void ev_build_geometry(const CompiledGroup& cg, const std::vector<rt::Box>& member_boxes,
-                         CommGeometry& geom);
+  CommGeometry& resolve_geometry(CompiledGroup& cg);
+  void build_geometry(const CompiledGroup& cg, const std::vector<rt::Box>& member_boxes,
+                      CommGeometry& geom);
   /// Appends a uniform all-processor clock bump to the deferred log.
-  void ev_bump(double amount);
-  /// Replays a processor's pending deferred bumps so clock_[proc] is current.
-  void ev_touch(int proc);
-  void ev_materialize_all();
-  void ev_compact_bumps();
-  void ev_advance_pristine();
+  void bump(double amount);
+  /// Replays a processor's pending deferred bumps so its clock is current.
+  void touch(int proc);
+  void materialize_all();
+  void compact_bumps();
+  void advance_pristine();
   /// Resets the bump log after a barrier left every clock equal to `t`.
-  void ev_barrier_reset(double t);
+  void barrier_reset(double t);
 
-  const zir::Program& p_;
-  const comm::CommPlan& plan_;
-  RunConfig cfg_;
+  SimState st_;
+  CompiledSim compiled_;
+  ExprScratch scratch_;
 
-  rt::Mesh mesh_;
-  zir::IntEnv env_;
-  rt::BlockDist dist_;
-  Transport transport_;
-  rt::Evaluator evaluator_;
+  // Deferred uniform clock bumps. Scalar statements, branch evaluations and
+  // loop bookkeeping advance every processor's clock by the same amount.
+  // Instead of paying O(procs) per such statement, the engine appends the
+  // amount to bump_log_ and replays a processor's pending entries only when
+  // that clock is next observed (touch). Replay is strictly sequential per
+  // processor — never coalesced — because float addition is not
+  // associative: (c+a)+b generally differs from c+(a+b) in the last bit, and
+  // the contract is bit-identity with the reference.
+  //
+  // Pristine memoization: a processor untouched since the last barrier
+  // (cursor 0, clock bit-equal to pristine_base_) would replay exactly the
+  // shared prefix every other pristine processor replays. pristine_value_
+  // caches that rolling sum (extended incrementally through pristine_len_),
+  // so materializing P idle processors at a barrier costs
+  // O(P + log entries) instead of O(P · log entries).
+  std::vector<double> bump_log_;
+  std::vector<std::size_t> bump_cursor_;  // per proc: log entries replayed
+  double pristine_base_ = 0.0;   // clock value of an untouched processor
+  double pristine_value_ = 0.0;  // pristine_base_ + bump_log_[0..pristine_len_)
+  std::size_t pristine_len_ = 0;
 
-  std::vector<double> clock_;                        // per proc
-  std::vector<std::vector<rt::LocalArray>> arrays_;  // [proc][array]
-  std::vector<rt::Box> declared_;                    // per array
-  std::vector<double> scalars_;                      // replicated
-  std::vector<CommCounters> counters_;               // per proc
-  long long reduction_count_ = 0;
-  long long dynamic_comm_count_ = 0;  // communications executed (SPMD-wide)
-
-  std::map<int, std::unique_ptr<GroupExec>> outstanding_;  // by group id
-
-  // Hot-path allocation recycling (bit-identity preserving: every buffer is
-  // fully rewritten before use). GroupExec objects — message records with
-  // their parts/payload vectors — cycle through a free list so steady-state
-  // communication executes with no per-event allocation once capacities
-  // have grown to the program's working set (gated by bench_micro_passes).
-  std::vector<std::unique_ptr<GroupExec>> exec_pool_;
-  std::vector<char> participated_;        // scratch: per-proc flags
-  std::vector<double> eval_buf_;          // scratch: exec_array_assign RHS
-  std::vector<double> reduce_global_;     // scratch: exec_scalar_assign
-  std::vector<double> reduce_partials_;   // scratch: exec_scalar_assign
-
-  // Per-statement cost metadata cache.
-  struct StmtCost {
-    int flops = 0;
-    int arrays_touched = 0;
+  /// Runtime frame of an active counted loop (kForInit..kForNext).
+  struct ForFrame {
+    std::int32_t loop = 0;  ///< index into CompiledSim::loops
+    long long i = 0;
+    long long hi = 0;
+    long long step = 1;
+    long long old_value = 0;  ///< saved binding of the loop variable
+    bool was_bound = false;
   };
-  mutable std::map<int32_t, StmtCost> stmt_cost_cache_;
+  std::vector<ForFrame> for_stack_;
 
-  /// Event-core state (compiled program + clock bump log); null until
-  /// run_event compiles, and in lockstep runs.
-  std::unique_ptr<EventState> ev_;
+  // Reusable scratch (fully rewritten before each use).
+  std::vector<double> reduce_acc_;
+  std::vector<rt::Box> member_boxes_;
+  std::vector<long long> geom_key_;
 
   bool ran_ = false;
 };
 
-/// Convenience: plan with `options`, then run. The standard entry point for
+/// Convenience: construct an Engine and run it. The standard entry point for
 /// benches / examples; see also src/driver for the experiment-level API.
 RunResult run_program(const zir::Program& program, const comm::CommPlan& plan, RunConfig config);
 

@@ -374,10 +374,11 @@ TEST(ProfTest, PerfBudgetDiff) {
   EXPECT_FALSE(same.at("regressed").boolean);
   EXPECT_FALSE(same.at("wall").at("regressed").boolean);
 
-  // A 2x slowdown on everything blows a 20% budget (wall, at least; small
-  // spans may hide under the absolute noise floor).
+  // A 2x slowdown on everything blows a 20% budget. No absolute floor: with
+  // the default 1 ms one, the verdict would depend on whether this host ran
+  // the profiled pipeline in more than 1.25 ms.
   const json::Value slow = scale_profile(report, 2.0);
-  const json::Value bad = driver::perf_budget_diff(report, slow, 20.0);
+  const json::Value bad = driver::perf_budget_diff(report, slow, 20.0, /*abs_floor=*/0.0);
   EXPECT_TRUE(bad.at("regressed").boolean);
   EXPECT_TRUE(bad.at("wall").at("regressed").boolean);
 
