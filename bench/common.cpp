@@ -316,4 +316,44 @@ double scaled(const std::vector<Row>& rows, const std::string& experiment, doubl
   return (*target).*field / denom;
 }
 
+double thread_cpu_seconds() {
+  timespec ts{};
+  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) {
+    throw Error("clock_gettime(CLOCK_THREAD_CPUTIME_ID) failed");
+  }
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+Paired measure_paired(const std::string& name, int ops_per_rep,
+                      const std::function<double(bool on)>& op, double max_ratio) {
+  constexpr int kReps = 7;
+  constexpr int kAttempts = 3;
+  const bool gated = max_ratio < std::numeric_limits<double>::infinity();
+  std::vector<double> off;
+  std::vector<double> on;
+  Paired p;
+  for (int attempt = 0; attempt < (gated ? kAttempts : 1); ++attempt) {
+    if (attempt > 0) {
+      std::cout << name << ": above its bound — re-measuring (attempt " << attempt + 1 << "/"
+                << kAttempts << ")\n";
+    }
+    for (int r = 0; r < kReps; ++r) {
+      const bool on_first = r % 2 == 1;
+      double seconds[2] = {0.0, 0.0};  // [off, on]
+      for (int i = 0; i < ops_per_rep; ++i) {
+        seconds[on_first ? 1 : 0] += op(on_first);
+        seconds[on_first ? 0 : 1] += op(!on_first);
+      }
+      off.push_back(seconds[0] / ops_per_rep);
+      on.push_back(seconds[1] / ops_per_rep);
+    }
+    p.off_s = *std::min_element(off.begin(), off.end());
+    p.on_s = *std::min_element(on.begin(), on.end());
+    p.reps = static_cast<int>(off.size());
+    p.within = !gated || (p.off_s > 0.0 && p.ratio() <= max_ratio);
+    if (p.within) break;
+  }
+  return p;
+}
+
 }  // namespace zc::bench

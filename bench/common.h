@@ -22,6 +22,8 @@
 //   --git-sha=SHA  stamp the envelope with the source revision
 #pragma once
 
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -100,5 +102,40 @@ void write_bench_json(const json::Value& payload, const Options& options);
 
 /// value / baseline as a fraction; NaN if baseline is missing or zero.
 double scaled(const std::vector<Row>& rows, const std::string& experiment, double Row::*field);
+
+/// Seconds of CPU time the calling thread has used
+/// (CLOCK_THREAD_CPUTIME_ID). It does not advance while the thread is
+/// preempted, so other processes on a busy host cannot inflate it.
+double thread_cpu_seconds();
+
+/// The result of one paired measurement: each arm's min-of-means in
+/// seconds per operation.
+struct Paired {
+  double off_s = 0.0;
+  double on_s = 0.0;
+  int reps = 0;         ///< reps per arm, over every attempt
+  bool within = true;   ///< on / off <= the gate's bound (ungated: true)
+
+  [[nodiscard]] double ratio() const { return off_s > 0.0 ? on_s / off_s : 0.0; }
+  [[nodiscard]] double overhead_pct() const { return (ratio() - 1.0) * 100.0; }
+};
+
+/// The one paired method every timing gate and telemetry price in bench/
+/// goes through. `op(on)` runs one operation of one arm and returns the
+/// seconds it took, on whatever clock suits where the work runs. Each of
+/// seven reps interleaves the arms op by op, `ops_per_rep` ops each, so
+/// both arms see the same host conditions, and alternates which arm leads
+/// (order effects cancel). Each arm's estimate is the minimum of its rep
+/// means: noise on a shared host only ever adds time, so the minimum is
+/// the least-contaminated rep. A gated pairing passes when on / off <=
+/// max_ratio. A busy stretch can still contaminate every rep of one
+/// attempt, so a failing verdict is re-measured, up to three attempts with
+/// minima accumulated across all of them: a genuine regression stays above
+/// the bound in every window, a noise spike clears. An ungated pairing
+/// (max_ratio infinite) takes one attempt. `name` labels the re-measure
+/// notes.
+Paired measure_paired(const std::string& name, int ops_per_rep,
+                      const std::function<double(bool on)>& op,
+                      double max_ratio = std::numeric_limits<double>::infinity());
 
 }  // namespace zc::bench

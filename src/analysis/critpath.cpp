@@ -94,7 +94,8 @@ std::vector<std::vector<std::size_t>> barrier_positions(const trace::Recorder& r
   return pos;
 }
 
-void finish_transfers(CriticalPathReport& report, const trace::Recorder& recorder) {
+void finish_transfers(CriticalPathReport& report, const trace::Recorder& recorder,
+                      const Pairing& pairing) {
   // Slack for every transfer with consumed messages, independent of the
   // walk: pair messages with their DN events and take the minimum idle gap
   // between arrival and the DN's begin.
@@ -111,7 +112,6 @@ void finish_transfers(CriticalPathReport& report, const trace::Recorder& recorde
     t.on_path = true;
   }
 
-  const Pairing pairing = build_pairing(recorder);
   const std::vector<MessageRecord>& msgs = recorder.messages();
   std::map<std::int64_t, double> min_slack;
   std::map<std::int64_t, long long> msg_count;
@@ -166,7 +166,7 @@ CriticalPathReport compute_critical_path(const trace::Recorder& recorder) {
   if (start_proc < 0) return report;
   if (!report.exact) {
     // Capped detail buffers break the FIFO pairing; report totals only.
-    finish_transfers(report, recorder);
+    finish_transfers(report, recorder, build_pairing(recorder));
     return report;
   }
 
@@ -294,7 +294,7 @@ CriticalPathReport compute_critical_path(const trace::Recorder& recorder) {
   }
 
   std::reverse(report.segments.begin(), report.segments.end());
-  finish_transfers(report, recorder);
+  finish_transfers(report, recorder, pairing);
   return report;
 }
 

@@ -17,7 +17,7 @@
 // calling thread a Span constructor is a single thread-local pointer test —
 // no allocation, no clock reads — and every instrumented subsystem produces
 // bit-identical outputs profiled or not (checked by tests/prof_test.cpp and
-// bench_prof_overhead).
+// bench_observability_cost).
 //
 // Exports: a text tree (`to_text`), folded stack lines for flamegraph.pl
 // (`to_folded`), nested JSON for run reports (`to_json`), and a bounded

@@ -133,13 +133,12 @@ double Registry::gauge_value(std::string_view name) const {
   return it == shard.gauges.end() ? 0.0 : it->second;
 }
 
-const Histogram* Registry::find_histogram(std::string_view name) const {
-  // The pointer is only stable while no concurrent mutation runs; callers
-  // are single-threaded inspectors (tests, report writers) by contract.
+std::optional<Histogram> Registry::find_histogram(std::string_view name) const {
   Shard& shard = shard_for(name);
   const std::lock_guard<std::mutex> lk(shard.mu);
   const auto it = shard.histograms.find(name);
-  return it == shard.histograms.end() ? nullptr : &it->second;
+  if (it == shard.histograms.end()) return std::nullopt;
+  return it->second;
 }
 
 bool Registry::empty() const {

@@ -26,6 +26,7 @@
 #include <array>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -68,7 +69,9 @@ class Registry {
 
   [[nodiscard]] long long counter(std::string_view name) const;  ///< 0 if absent
   [[nodiscard]] double gauge_value(std::string_view name) const; ///< 0 if absent
-  [[nodiscard]] const Histogram* find_histogram(std::string_view name) const;
+  /// A copy of the named histogram taken under its shard's lock, so it
+  /// stays consistent while other threads publish; nullopt if absent.
+  [[nodiscard]] std::optional<Histogram> find_histogram(std::string_view name) const;
   [[nodiscard]] bool empty() const;
 
   void reset();

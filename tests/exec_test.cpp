@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -440,8 +441,8 @@ TEST(Registry, MergeFromAddsHistogramsBucketwise) {
   b.observe("h", 3.0, {2.0, 4.0});
   b.observe("h", 100.0, {2.0, 4.0});
   a.merge_from(b);
-  const metrics::Histogram* h = a.find_histogram("h");
-  ASSERT_NE(h, nullptr);
+  const std::optional<metrics::Histogram> h = a.find_histogram("h");
+  ASSERT_TRUE(h.has_value());
   EXPECT_EQ(h->count, 3);
   EXPECT_DOUBLE_EQ(h->sum, 104.0);
   EXPECT_DOUBLE_EQ(h->min, 1.0);

@@ -259,5 +259,47 @@ TEST(InterBlock, SemanticsPreservedOnBenchmarks) {
   }
 }
 
+TEST(InterBlock, ElseBranchWriteInvalidatesAcrossCalls) {
+  // touch() has two call sites, so the pass uses its mod set instead of
+  // flowing through it. The second call takes the else branch and writes
+  // A; if the mod set missed else-branch writes, the second A@east would
+  // reuse the stale slice from before the calls and s1 would be wrong at
+  // 4 procs while 1 proc (no communication) stays right.
+  const zir::Program p = parser::parse_program(R"(
+program elsewrite;
+config n : integer = 8;
+region R = [0..n+1, 0..n+1];
+region I = [1..n, 1..n];
+direction east = [0, 1], west = [0, -1];
+var A, B, C : [R] double;
+var flag, s1, s2 : double;
+procedure touch() {
+  if flag > 0.5 { [I] C := C + 1.0; } else { [I] A := A + Index2; }
+}
+procedure main() {
+  [R] A := Index1 + 10.0 * Index2;
+  [R] B := 0.0;
+  [R] C := 0.0;
+  flag := 1.0;
+  [I] B := A@east;
+  touch();
+  flag := 0.0;
+  touch();
+  [I] B := B + A@east;
+  [I] s1 := +<< B;
+}
+)");
+  OptOptions o = OptOptions::for_level(OptLevel::kRR);
+  o.inter_block = true;
+  const CommPlan plan = plan_communication(p, o);
+  sim::RunConfig one;
+  one.procs = 1;
+  sim::RunConfig four;
+  four.procs = 4;
+  const double want = sim::run_program(p, plan, one).scalars.at("s1");
+  EXPECT_EQ(want, 7896.0);
+  EXPECT_EQ(sim::run_program(p, plan, four).scalars.at("s1"), want);
+}
+
 }  // namespace
 }  // namespace zc::comm

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,8 +37,8 @@ TEST(MetricsConcurrency, ScratchMergesAndScrapesRaceCleanly) {
       EXPECT_EQ(prom.find("le=\"nan\""), std::string::npos);
       (void)target.to_json();
       (void)target.counter("requests");
-      const Histogram* h = target.find_histogram("latency");
-      if (h != nullptr && h->count > 0) {
+      const std::optional<Histogram> h = target.find_histogram("latency");
+      if (h.has_value() && h->count > 0) {
         const double p50 = h->quantile(0.5);
         EXPECT_GE(p50, h->min);
         EXPECT_LE(p50, h->max);
@@ -80,14 +81,14 @@ TEST(MetricsConcurrency, ScratchMergesAndScrapesRaceCleanly) {
   for (int w = 0; w < kWriters; ++w) {
     EXPECT_EQ(target.counter("writer." + std::to_string(w)), kMergesPerWriter);
   }
-  const Histogram* merged = target.find_histogram("latency");
-  ASSERT_NE(merged, nullptr);
+  const std::optional<Histogram> merged = target.find_histogram("latency");
+  ASSERT_TRUE(merged.has_value());
   EXPECT_EQ(merged->count, kTotal);
   long long bucket_sum = 0;
   for (const long long b : merged->buckets) bucket_sum += b;
   EXPECT_EQ(bucket_sum, kTotal) << "every observation lands in exactly one bucket";
-  const Histogram* direct = target.find_histogram("latency.direct");
-  ASSERT_NE(direct, nullptr);
+  const std::optional<Histogram> direct = target.find_histogram("latency.direct");
+  ASSERT_TRUE(direct.has_value());
   EXPECT_EQ(direct->count, kTotal);
 
   // The final exposition agrees with the totals, cumulative buckets ending
@@ -117,8 +118,8 @@ TEST(MetricsConcurrency, QuantilesStayWithinObservedRangeUnderMergeStorm) {
   }
   for (std::thread& t : threads) t.join();
 
-  const Histogram* h = target.find_histogram("q");
-  ASSERT_NE(h, nullptr);
+  const std::optional<Histogram> h = target.find_histogram("q");
+  ASSERT_TRUE(h.has_value());
   EXPECT_EQ(h->count, static_cast<long long>(kThreads) * kRounds * 3);
   for (const double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
     const double v = h->quantile(q);

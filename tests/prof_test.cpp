@@ -5,6 +5,7 @@
 // bit-identical profiled or not).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <regex>
@@ -116,20 +117,27 @@ TEST(ProfTest, OpenFramesContributeElapsedTime) {
 }
 
 TEST(ProfTest, RootTotalTracksWallTime) {
-  prof::Profiler p;
-  const auto start = std::chrono::steady_clock::now();
-  {
-    prof::Attach attach(&p);
-    ZC_PROF_SPAN("main");
-    spin_for(std::chrono::milliseconds(20));
-  }
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  const double root = p.tree().wall_seconds();
-  EXPECT_GT(root, 0.0);
   // The root span opens/closes within the measured window; over a 20 ms
-  // window the bookkeeping outside the span is far below 1%.
-  EXPECT_LE(std::abs(root - wall) / wall, 0.01);
+  // window the bookkeeping outside the span is far below 1%. One
+  // preemption between an outer clock read and the span's own can still
+  // cost more than 1% of one window, so the best of a few windows is
+  // gated: a root total that is really off misses in every window.
+  double best = 1.0;
+  for (int attempt = 0; attempt < 5 && best > 0.01; ++attempt) {
+    prof::Profiler p;
+    const auto start = std::chrono::steady_clock::now();
+    {
+      prof::Attach attach(&p);
+      ZC_PROF_SPAN("main");
+      spin_for(std::chrono::milliseconds(20));
+    }
+    const double wall =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    const double root = p.tree().wall_seconds();
+    EXPECT_GT(root, 0.0);
+    best = std::min(best, std::abs(root - wall) / wall);
+  }
+  EXPECT_LE(best, 0.01);
 }
 
 TEST(ProfTest, FoldedGrammarAndSum) {

@@ -9,6 +9,7 @@
 // plus unit coverage of the metrics registry and the JSON builder.
 #include <cmath>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -279,7 +280,7 @@ TEST(MetricsTest, CountersGaugesAndHistograms) {
   EXPECT_TRUE(reg.empty());
   EXPECT_EQ(reg.counter("absent"), 0);
   EXPECT_EQ(reg.gauge_value("absent"), 0.0);
-  EXPECT_EQ(reg.find_histogram("absent"), nullptr);
+  EXPECT_FALSE(reg.find_histogram("absent").has_value());
 
   reg.count("runs");
   reg.count("runs", 2);
@@ -290,8 +291,8 @@ TEST(MetricsTest, CountersGaugesAndHistograms) {
 
   EXPECT_EQ(reg.counter("runs"), 3);
   EXPECT_EQ(reg.gauge_value("temp"), 2.5);
-  const metrics::Histogram* h = reg.find_histogram("sizes");
-  ASSERT_NE(h, nullptr);
+  const std::optional<metrics::Histogram> h = reg.find_histogram("sizes");
+  ASSERT_TRUE(h.has_value());
   EXPECT_EQ(h->count, 2);
   EXPECT_EQ(h->sum, 8.0);
   EXPECT_EQ(h->min, 3.0);
@@ -321,8 +322,8 @@ TEST(MetricsTest, HistogramQuantilesPinnedOnKnownSamples) {
   for (int i = 1; i <= 10; ++i) bounds.push_back(static_cast<double>(i));
   for (int i = 1; i <= 10; ++i) reg.observe("latency", static_cast<double>(i), bounds);
 
-  const metrics::Histogram* h = reg.find_histogram("latency");
-  ASSERT_NE(h, nullptr);
+  const std::optional<metrics::Histogram> h = reg.find_histogram("latency");
+  ASSERT_TRUE(h.has_value());
   EXPECT_DOUBLE_EQ(h->quantile(0.0), 1.0);
   EXPECT_DOUBLE_EQ(h->quantile(0.50), 5.0);
   EXPECT_DOUBLE_EQ(h->quantile(0.90), 9.0);
@@ -333,8 +334,8 @@ TEST(MetricsTest, HistogramQuantilesPinnedOnKnownSamples) {
   // the observed max rather than extrapolating to infinity.
   reg.observe("over", 1.0, {2.0});
   reg.observe("over", 50.0, {2.0});
-  const metrics::Histogram* o = reg.find_histogram("over");
-  ASSERT_NE(o, nullptr);
+  const std::optional<metrics::Histogram> o = reg.find_histogram("over");
+  ASSERT_TRUE(o.has_value());
   EXPECT_LE(o->quantile(0.99), 50.0);
   EXPECT_GE(o->quantile(0.99), 2.0);
 
@@ -366,7 +367,7 @@ TEST(MetricsTest, OptimizerAndDriverPublish) {
   EXPECT_GT(reg.gauge_value("driver.last_execution_seconds"), 0.0);
   EXPECT_EQ(reg.gauge_value("driver.last_dynamic_count"),
             static_cast<double>(reg.counter("sim.communications")));
-  EXPECT_NE(reg.find_histogram("opt.sr_hoist_stmts"), nullptr);
+  EXPECT_TRUE(reg.find_histogram("opt.sr_hoist_stmts").has_value());
   reg.reset();
 }
 
