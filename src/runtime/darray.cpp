@@ -33,6 +33,18 @@ std::size_t LocalArray::offset(long long i, long long j, long long k) const {
   return static_cast<std::size_t>(off);
 }
 
+long long LocalArray::offset_of(const Box& b) const {
+  // One pass for the coverage check and the offset: an empty storage box
+  // (lo > hi in some dim) fails the bounds test for any non-empty `b`.
+  if (b.rank != storage_.rank) return -1;
+  long long off = 0;
+  for (int d = 0; d < b.rank; ++d) {
+    if (b.lo[d] < storage_.lo[d] || b.hi[d] > storage_.hi[d] || b.lo[d] > b.hi[d]) return -1;
+    off += (b.lo[d] - storage_.lo[d]) * stride_[d];
+  }
+  return off;
+}
+
 double LocalArray::at(long long i, long long j, long long k) const {
   return data_[offset(i, j, k)];
 }

@@ -1,8 +1,11 @@
 // Per-processor storage for one distributed array: the owned block plus a
 // fluff (ghost) margin wide enough for every direction the program declares.
 // Fluff cells hold cached copies of neighbor-owned elements and are filled
-// only by communication — so a miscompiled communication plan produces wrong
-// numbers, which the golden tests catch.
+// only by communication, so a miscompiled communication plan leaves stale
+// values there. Tests that compare numbers see a stale read only when the
+// stale and fresh values differ in a program they run: an SV moved past a
+// later write of a member array passes every one of them, because the
+// simulator copies each payload at SR.
 #pragma once
 
 #include <vector>
@@ -27,6 +30,17 @@ class LocalArray {
   [[nodiscard]] const Box& storage_box() const { return storage_; }
 
   [[nodiscard]] bool covers(const Box& b) const { return storage_.contains(b); }
+
+  /// The row-major storage (last dim contiguous) and its strides: element
+  /// g of the storage box lives at data()[sum over d of (g[d] - lo[d]) *
+  /// stride(d)].
+  [[nodiscard]] const double* data() const { return data_.data(); }
+  [[nodiscard]] double* data() { return data_.data(); }
+  [[nodiscard]] long long stride(int dim) const { return stride_[dim]; }
+
+  /// The storage offset of non-empty `b`'s low corner, or -1 when the
+  /// storage does not cover `b`.
+  [[nodiscard]] long long offset_of(const Box& b) const;
 
   /// Element accessors by global index (must lie within the storage box).
   [[nodiscard]] double at(long long i, long long j = 0, long long k = 0) const;

@@ -17,13 +17,12 @@ double reduce_identity(zir::ReduceOp op) {
   return 0.0;
 }
 
-double reduce_combine(zir::ReduceOp op, double a, double b) {
-  switch (op) {
-    case zir::ReduceOp::kSum: return a + b;
-    case zir::ReduceOp::kMax: return std::max(a, b);
-    case zir::ReduceOp::kMin: return std::min(a, b);
-  }
-  return 0.0;
+Error uncovered_read_error(const std::string& name, bool shifted, const Box& need,
+                           const Box& have) {
+  return Error((shifted ? "shifted read of '" : "read of '") + name +
+               "' outside its declared region (" +
+               (shifted ? "program reads past its border" : "statement region exceeds it") +
+               "): need " + need.to_string() + ", have " + have.to_string());
 }
 
 double Evaluator::apply_bin_scalar(zir::BinOp op, double a, double b) const {
@@ -59,7 +58,9 @@ Evaluator::Value Evaluator::eval(const EvalContext& ctx, zir::ExprId id) const {
       out.is_vec = true;
       out.v.resize(n);
       const LocalArray& a = (*ctx.arrays)[e.array.index()];
-      ZC_ASSERT(a.covers(ctx.box));
+      if (!a.covers(ctx.box)) {
+        throw uncovered_read_error(p_.array(e.array).name, false, ctx.box, a.storage_box());
+      }
       a.read_box(ctx.box, out.v.data());
       return out;
     }
@@ -69,9 +70,7 @@ Evaluator::Value Evaluator::eval(const EvalContext& ctx, zir::ExprId id) const {
       const LocalArray& a = (*ctx.arrays)[e.array.index()];
       const Box src = ctx.box.shifted(p_.direction(e.direction).offsets);
       if (!a.covers(src)) {
-        throw Error("shifted read of '" + p_.array(e.array).name +
-                    "' outside its declared region (program reads past its border): need " +
-                    src.to_string() + ", have " + a.storage_box().to_string());
+        throw uncovered_read_error(p_.array(e.array).name, true, src, a.storage_box());
       }
       a.read_box(src, out.v.data());
       return out;

@@ -7,12 +7,15 @@
 // (local partial here, cross-processor combine in the engine).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/runtime/darray.h"
 #include "src/runtime/layout.h"
+#include "src/support/diag.h"
 #include "src/zir/program.h"
 
 namespace zc::rt {
@@ -30,10 +33,55 @@ struct EvalContext {
   Box box;
 };
 
+/// a + b and a * b, returning a's NaN when both operands are NaN. IEEE 754
+/// leaves open which input NaN such an operation returns, and compilers
+/// commute + and * freely, so one expression compiled into two loops of
+/// different shape (the Evaluator's and the engine's kernels) could disagree
+/// on the sign and payload of that NaN. On x86-64 the instruction is pinned
+/// with `a` as its first source, the operand addsd/mulsd return; elsewhere
+/// the choice is the compiler's.
+inline double add_left(double a, double b) {
+#if defined(__x86_64__) && defined(__AVX__)
+  asm("vaddsd %2, %1, %0" : "=x"(a) : "x"(a), "x"(b));
+#elif defined(__x86_64__) && defined(__SSE2_MATH__)
+  asm("addsd %1, %0" : "+x"(a) : "x"(b));
+#else
+  a = a + b;
+#endif
+  return a;
+}
+
+inline double mul_left(double a, double b) {
+#if defined(__x86_64__) && defined(__AVX__)
+  asm("vmulsd %2, %1, %0" : "=x"(a) : "x"(a), "x"(b));
+#elif defined(__x86_64__) && defined(__SSE2_MATH__)
+  asm("mulsd %1, %0" : "+x"(a) : "x"(b));
+#else
+  a = a * b;
+#endif
+  return a;
+}
+
 /// Identity element of a reduction.
 double reduce_identity(zir::ReduceOp op);
-/// Combines two partial values.
-double reduce_combine(zir::ReduceOp op, double a, double b);
+/// Combines two partial values. Inline, like apply_bin below, so a fold
+/// with a constant operator compiles to its one operation.
+inline double reduce_combine(zir::ReduceOp op, double a, double b) {
+  switch (op) {
+    case zir::ReduceOp::kSum: return add_left(a, b);
+    case zir::ReduceOp::kMax: return std::max(a, b);
+    case zir::ReduceOp::kMin: return std::min(a, b);
+  }
+  return 0.0;
+}
+
+/// The error for reading array `name` over `need` where this processor's
+/// storage holds only `have`: a shifted read past the array's border, or an
+/// unshifted read over a statement region larger than the array's declared
+/// region. The Evaluator and the engine's compiled kernels both raise it, so
+/// their messages are identical.
+Error uncovered_read_error(const std::string& name, bool shifted, const Box& need,
+                           const Box& have);
 
 /// Scalar semantics of the value operators. Inline and shared between the
 /// tree-walking Evaluator and the compiled expression programs (src/sim/
@@ -41,9 +89,9 @@ double reduce_combine(zir::ReduceOp op, double a, double b);
 inline double apply_bin(zir::BinOp op, double a, double b) {
   using zir::BinOp;
   switch (op) {
-    case BinOp::kAdd: return a + b;
+    case BinOp::kAdd: return add_left(a, b);
     case BinOp::kSub: return a - b;
-    case BinOp::kMul: return a * b;
+    case BinOp::kMul: return mul_left(a, b);
     case BinOp::kDiv: return a / b;
     case BinOp::kMin: return std::min(a, b);
     case BinOp::kMax: return std::max(a, b);

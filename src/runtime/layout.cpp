@@ -185,7 +185,13 @@ Box BlockDist::owned(int proc) const {
 
 std::vector<int> BlockDist::owners(const Box& b) const {
   std::vector<int> result;
-  if (b.empty()) return result;
+  owners(b, result);
+  return result;
+}
+
+void BlockDist::owners(const Box& b, std::vector<int>& result) const {
+  result.clear();
+  if (b.empty()) return;
   // Binary search over the monotonic cut array (replacing the former linear
   // scan, which dominated geometry building at 4096 processors). The window
   // may include empty blocks on over-decomposed meshes; the per-processor
@@ -222,7 +228,6 @@ std::vector<int> BlockDist::owners(const Box& b) const {
       if (!cropped.intersect(b).empty()) result.push_back(proc);
     }
   }
-  return result;
 }
 
 }  // namespace zc::rt

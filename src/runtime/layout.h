@@ -84,9 +84,12 @@ class BlockDist {
   /// is whole). May be empty on over-decomposed meshes.
   [[nodiscard]] Box owned(int proc) const;
 
-  /// All processors whose owned box intersects `b` (small: scans the
-  /// bounding proc-coordinate window of `b`).
+  /// All processors whose owned box intersects `b`, ascending (small: scans
+  /// the bounding proc-coordinate window of `b`).
   [[nodiscard]] std::vector<int> owners(const Box& b) const;
+  /// The same into `out` (cleared first), so a caller that reuses `out`
+  /// allocates nothing once it has grown.
+  void owners(const Box& b, std::vector<int>& out) const;
 
   /// Block boundaries in `dim` (0 or 1): processor index `k` owns
   /// [cut(dim,k), cut(dim,k+1) - 1].

@@ -21,8 +21,8 @@ class ExprCompiler {
  private:
   /// Emits postfix steps for `id`; returns true when the node is
   /// array-valued. Operand order (left subtree fully before right) matches
-  /// the recursive evaluator, so side effects — the out-of-bounds shift
-  /// throw — fire at the same point.
+  /// the recursive evaluator, so loads, and with them the out-of-storage
+  /// read errors, come in the same order.
   bool emit(zir::ExprId id) {
     const zir::Expr& e = p_.expr(id);
     ExprStep st;
@@ -48,18 +48,22 @@ class ExprCompiler {
         prog_.steps.push_back(st);
         return false;
       case zir::Expr::Kind::kArrayRef:
-        st.op = ExprStep::Op::kLoadArray;
-        st.a = e.array.index();
+      case zir::Expr::Kind::kShift: {
+        ExprLoad ld;
+        ld.array = e.array.index();
+        if (e.kind == zir::Expr::Kind::kShift) {
+          ld.shifted = true;
+          const std::vector<int>& offsets = p_.direction(e.direction).offsets;
+          for (std::size_t d = 0; d < offsets.size() && d < ld.offsets.size(); ++d) {
+            ld.offsets[d] = offsets[d];
+          }
+        }
+        prog_.loads.push_back(ld);
+        st.op = ExprStep::Op::kLoad;
         prog_.steps.push_back(st);
         push_vec();
         return true;
-      case zir::Expr::Kind::kShift:
-        st.op = ExprStep::Op::kLoadShift;
-        st.a = e.array.index();
-        st.b = e.direction.index();
-        prog_.steps.push_back(st);
-        push_vec();
-        return true;
+      }
       case zir::Expr::Kind::kIndex:
         st.op = ExprStep::Op::kLoadIndex;
         st.a = e.index_dim;
@@ -107,25 +111,183 @@ class ExprCompiler {
   int vdepth_ = 0;
 };
 
+/// The extents of a box as (outer, middle, row): rank-1 and rank-2 boxes
+/// fill the trailing ones.
+struct Shape {
+  long long n0 = 1;
+  long long n1 = 1;
+  long long n2 = 0;
+};
+
+Shape shape_of(const rt::Box& b) {
+  const auto ext = [&b](int d) { return b.hi[d] - b.lo[d] + 1; };
+  switch (b.rank) {
+    case 1: return {1, 1, ext(0)};
+    case 2: return {1, ext(0), ext(1)};
+    default: return {ext(0), ext(1), ext(2)};
+  }
+}
+
+template <class T>
+T* row(const Rows<T>& r, long long i, long long j) {
+  return r.base + i * r.s0 + j * r.s1;
+}
+
+View as_view(const Dest& d) { return {d.base, d.s0, d.s1}; }
+
+/// Calls fn(i, j) for every row of the shape, in row-major order.
+template <class Fn>
+void for_rows(const Shape& sh, Fn&& fn) {
+  for (long long i = 0; i < sh.n0; ++i) {
+    for (long long j = 0; j < sh.n1; ++j) fn(i, j);
+  }
+}
+
+// The operators as types, so each kernel below is instantiated once per
+// operator with its switch folded away: the per-element arithmetic is
+// rt::apply_bin / rt::apply_un itself, which the reference calls too.
+template <zir::BinOp Op>
+struct Bin {
+  double operator()(double a, double b) const { return rt::apply_bin(Op, a, b); }
+};
+template <zir::UnOp Op>
+struct Un {
+  double operator()(double a) const { return rt::apply_un(Op, a); }
+};
+
+template <class Fn>
+void with_bin(zir::BinOp op, Fn&& fn) {
+  using B = zir::BinOp;
+  switch (op) {
+    case B::kAdd: return fn(Bin<B::kAdd>{});
+    case B::kSub: return fn(Bin<B::kSub>{});
+    case B::kMul: return fn(Bin<B::kMul>{});
+    case B::kDiv: return fn(Bin<B::kDiv>{});
+    case B::kMin: return fn(Bin<B::kMin>{});
+    case B::kMax: return fn(Bin<B::kMax>{});
+    case B::kPow: return fn(Bin<B::kPow>{});
+    case B::kLt: return fn(Bin<B::kLt>{});
+    case B::kLe: return fn(Bin<B::kLe>{});
+    case B::kGt: return fn(Bin<B::kGt>{});
+    case B::kGe: return fn(Bin<B::kGe>{});
+    case B::kEq: return fn(Bin<B::kEq>{});
+    case B::kNe: return fn(Bin<B::kNe>{});
+    case B::kAnd: return fn(Bin<B::kAnd>{});
+    case B::kOr: return fn(Bin<B::kOr>{});
+  }
+  ZC_ASSERT(false);
+}
+
+template <class Fn>
+void with_un(zir::UnOp op, Fn&& fn) {
+  using U = zir::UnOp;
+  switch (op) {
+    case U::kNeg: return fn(Un<U::kNeg>{});
+    case U::kNot: return fn(Un<U::kNot>{});
+    case U::kAbs: return fn(Un<U::kAbs>{});
+    case U::kSqrt: return fn(Un<U::kSqrt>{});
+    case U::kExp: return fn(Un<U::kExp>{});
+    case U::kLog: return fn(Un<U::kLog>{});
+    case U::kSin: return fn(Un<U::kSin>{});
+    case U::kCos: return fn(Un<U::kCos>{});
+  }
+  ZC_ASSERT(false);
+}
+
+void copy_rows(const Shape& sh, const View& from, const Dest& to) {
+  for_rows(sh, [&](long long i, long long j) {
+    const double* x = row(from, i, j);
+    std::copy(x, x + sh.n2, row(to, i, j));
+  });
+}
+
 }  // namespace
 
 ExprProg compile_expr(const zir::Program& program, zir::ExprId id) {
   return ExprCompiler(program).compile(id);
 }
 
-const std::vector<double>& eval_expr_prog(const ExprProg& prog, const zir::Program& program,
-                                          const std::vector<rt::LocalArray>& arrays,
-                                          const std::vector<double>& scalars,
-                                          const zir::IntEnv& env, const rt::Box& box,
-                                          ExprScratch& scratch) {
-  const std::size_t n = static_cast<std::size_t>(box.count());
-  auto& vb = scratch.vbufs;
-  if (vb.size() < static_cast<std::size_t>(std::max(prog.max_vdepth, 1))) {
-    vb.resize(static_cast<std::size_t>(std::max(prog.max_vdepth, 1)));
+bool last_step_reads_shifted(const zir::Program& program, zir::ExprId rhs, zir::ArrayId array) {
+  // The last step is the root node; its operands are the root's children.
+  const auto reads_shifted = [&](zir::ExprId id) {
+    const zir::Expr& e = program.expr(id);
+    if (e.kind != zir::Expr::Kind::kShift || e.array != array) return false;
+    const std::vector<int>& offsets = program.direction(e.direction).offsets;
+    return std::any_of(offsets.begin(), offsets.end(), [](int o) { return o != 0; });
+  };
+  const zir::Expr& root = program.expr(rhs);
+  switch (root.kind) {
+    case zir::Expr::Kind::kShift: return reads_shifted(rhs);
+    case zir::Expr::Kind::kBinary: return reads_shifted(root.lhs) || reads_shifted(root.rhs);
+    case zir::Expr::Kind::kUnary: return reads_shifted(root.lhs);
+    default: return false;
   }
+}
+
+long long resolve_load(const ExprLoad& ld, const zir::Program& program, const rt::LocalArray& a,
+                       const rt::Box& box) {
+  rt::Box need = box;
+  for (int d = 0; d < need.rank; ++d) {
+    need.lo[d] += ld.offsets[d];
+    need.hi[d] += ld.offsets[d];
+  }
+  const long long offset = a.offset_of(need);
+  if (offset < 0) {
+    throw rt::uncovered_read_error(program.array(zir::ArrayId(ld.array)).name, ld.shifted, need,
+                                   a.storage_box());
+  }
+  return offset;
+}
+
+View view_at(const rt::LocalArray& a, long long offset) {
+  const int rank = a.storage_box().rank;
+  return {a.data() + offset, rank == 3 ? a.stride(0) : 0,
+          rank == 3 ? a.stride(1) : rank == 2 ? a.stride(0) : 0};
+}
+
+Dest dest_at(rt::LocalArray& a, long long offset) {
+  const View v = view_at(a, offset);
+  return {a.data() + offset, v.s0, v.s1};
+}
+
+void resolve_views(const ExprProg& prog, const zir::Program& program,
+                   const std::vector<rt::LocalArray>& arrays, const rt::Box& box,
+                   std::vector<View>& views) {
+  views.resize(prog.loads.size());
+  for (std::size_t k = 0; k < prog.loads.size(); ++k) {
+    const rt::LocalArray& a = arrays[static_cast<std::size_t>(prog.loads[k].array)];
+    views[k] = view_at(a, resolve_load(prog.loads[k], program, a, box));
+  }
+}
+
+View eval_expr_prog(const ExprProg& prog, const rt::Box& box, const View* loads,
+                    const std::vector<double>& scalars, const zir::IntEnv& env,
+                    ExprScratch& scratch, const Dest* dest, bool via_temp) {
+  const Shape sh = shape_of(box);
+  const std::size_t n = static_cast<std::size_t>(sh.n0 * sh.n1 * sh.n2);
+  const std::size_t depth = static_cast<std::size_t>(std::max(prog.max_vdepth, 1));
+  if (scratch.temps.size() < depth) scratch.temps.resize(depth);
+  if (scratch.vstack.size() < depth) scratch.vstack.resize(depth);
+  View* vs = scratch.vstack.data();
   auto& ss = scratch.sstack;
   ss.clear();
   int vd = 0;
+  std::size_t next_load = 0;
+
+  // Temporaries are contiguous rows of the box. A temporary at stack depth
+  // k lives in temps[k], so a step whose result lands at depth k writes in
+  // place exactly when its left operand is already a temporary.
+  const auto temp = [&](int k) -> Dest {
+    std::vector<double>& buf = scratch.temps[static_cast<std::size_t>(k)];
+    if (buf.size() < n) buf.resize(n);
+    return {buf.data(), sh.n1 * sh.n2, sh.n2};
+  };
+  const Dest* last_dest = via_temp ? nullptr : dest;
+  const ExprStep* last = &prog.steps.back();
+  // Where the result of step `st`, landing at stack depth k, goes.
+  const auto target = [&](const ExprStep& st, int k) -> Dest {
+    return &st == last && last_dest != nullptr ? *last_dest : temp(k);
+  };
 
   for (const ExprStep& st : prog.steps) {
     switch (st.op) {
@@ -151,85 +313,119 @@ const std::vector<double>& eval_expr_prog(const ExprProg& prog, const zir::Progr
       case ExprStep::Op::kUnS:
         ss.back() = rt::apply_un(st.un_op, ss.back());
         break;
-      case ExprStep::Op::kLoadArray: {
-        std::vector<double>& buf = vb[static_cast<std::size_t>(vd++)];
-        buf.resize(n);
-        const rt::LocalArray& a = arrays[static_cast<std::size_t>(st.a)];
-        ZC_ASSERT(a.covers(box));
-        a.read_box(box, buf.data());
+      case ExprStep::Op::kLoad:
+        vs[vd++] = loads[next_load++];
         break;
-      }
-      case ExprStep::Op::kLoadShift: {
-        std::vector<double>& buf = vb[static_cast<std::size_t>(vd++)];
-        buf.resize(n);
-        const rt::LocalArray& a = arrays[static_cast<std::size_t>(st.a)];
-        const rt::Box src =
-            box.shifted(program.direction(zir::DirectionId(st.b)).offsets);
-        if (!a.covers(src)) {
-          throw Error("shifted read of '" + program.array(zir::ArrayId(st.a)).name +
-                      "' outside its declared region (program reads past its border): need " +
-                      src.to_string() + ", have " + a.storage_box().to_string());
-        }
-        a.read_box(src, buf.data());
-        break;
-      }
       case ExprStep::Op::kLoadIndex: {
-        std::vector<double>& buf = vb[static_cast<std::size_t>(vd++)];
-        buf.resize(n);
         const int dim = st.a - 1;
         ZC_ASSERT(dim >= 0 && dim < box.rank);
-        std::size_t k = 0;
-        const rt::Box& b = box;
-        const long long j_lo = b.rank >= 2 ? b.lo[1] : 0;
-        const long long j_hi = b.rank >= 2 ? b.hi[1] : 0;
-        const long long k_lo = b.rank >= 3 ? b.lo[2] : 0;
-        const long long k_hi = b.rank >= 3 ? b.hi[2] : 0;
-        for (long long i = b.lo[0]; i <= b.hi[0]; ++i) {
-          for (long long j = j_lo; j <= j_hi; ++j) {
-            for (long long kk = k_lo; kk <= k_hi; ++kk) {
-              const long long coord = dim == 0 ? i : dim == 1 ? j : kk;
-              buf[k++] = static_cast<double>(coord);
-            }
+        const Dest d = target(st, vd);
+        const int pos = dim + 3 - box.rank;  // 0, 1 or 2: which of (i, j, k)
+        const long long lo = box.lo[dim];
+        for_rows(sh, [&](long long i, long long j) {
+          double* o = row(d, i, j);
+          if (pos == 2) {
+            for (long long k = 0; k < sh.n2; ++k) o[k] = static_cast<double>(lo + k);
+          } else {
+            std::fill(o, o + sh.n2, static_cast<double>(lo + (pos == 0 ? i : j)));
           }
-        }
+        });
+        vs[vd++] = as_view(d);
         break;
       }
       case ExprStep::Op::kBinVV: {
-        std::vector<double>& l = vb[static_cast<std::size_t>(vd - 2)];
-        const std::vector<double>& r = vb[static_cast<std::size_t>(vd - 1)];
-        for (std::size_t i = 0; i < n; ++i) l[i] = rt::apply_bin(st.bin_op, l[i], r[i]);
+        const View l = vs[vd - 2];
+        const View r = vs[vd - 1];
+        const Dest d = target(st, vd - 2);
+        with_bin(st.bin_op, [&](auto f) {
+          for_rows(sh, [&](long long i, long long j) {
+            double* o = row(d, i, j);
+            const double* x = row(l, i, j);
+            const double* y = row(r, i, j);
+            for (long long k = 0; k < sh.n2; ++k) o[k] = f(x[k], y[k]);
+          });
+        });
+        vs[vd - 2] = as_view(d);
         --vd;
         break;
       }
       case ExprStep::Op::kBinVS: {
         const double b = ss.back();
         ss.pop_back();
-        std::vector<double>& l = vb[static_cast<std::size_t>(vd - 1)];
-        for (std::size_t i = 0; i < n; ++i) l[i] = rt::apply_bin(st.bin_op, l[i], b);
+        const View l = vs[vd - 1];
+        const Dest d = target(st, vd - 1);
+        with_bin(st.bin_op, [&](auto f) {
+          for_rows(sh, [&](long long i, long long j) {
+            double* o = row(d, i, j);
+            const double* x = row(l, i, j);
+            for (long long k = 0; k < sh.n2; ++k) o[k] = f(x[k], b);
+          });
+        });
+        vs[vd - 1] = as_view(d);
         break;
       }
       case ExprStep::Op::kBinSV: {
         const double a = ss.back();
         ss.pop_back();
-        std::vector<double>& r = vb[static_cast<std::size_t>(vd - 1)];
-        for (std::size_t i = 0; i < n; ++i) r[i] = rt::apply_bin(st.bin_op, a, r[i]);
+        const View r = vs[vd - 1];
+        const Dest d = target(st, vd - 1);
+        with_bin(st.bin_op, [&](auto f) {
+          for_rows(sh, [&](long long i, long long j) {
+            double* o = row(d, i, j);
+            const double* y = row(r, i, j);
+            for (long long k = 0; k < sh.n2; ++k) o[k] = f(a, y[k]);
+          });
+        });
+        vs[vd - 1] = as_view(d);
         break;
       }
       case ExprStep::Op::kUnV: {
-        std::vector<double>& l = vb[static_cast<std::size_t>(vd - 1)];
-        for (std::size_t i = 0; i < n; ++i) l[i] = rt::apply_un(st.un_op, l[i]);
+        const View l = vs[vd - 1];
+        const Dest d = target(st, vd - 1);
+        with_un(st.un_op, [&](auto f) {
+          for_rows(sh, [&](long long i, long long j) {
+            double* o = row(d, i, j);
+            const double* x = row(l, i, j);
+            for (long long k = 0; k < sh.n2; ++k) o[k] = f(x[k]);
+          });
+        });
+        vs[vd - 1] = as_view(d);
         break;
       }
     }
   }
 
-  if (prog.is_vec) {
-    ZC_ASSERT(vd == 1 && ss.empty());
-    return vb[0];
+  if (!prog.is_vec) {
+    ZC_ASSERT(vd == 0 && ss.size() == 1);
+    const Dest d = dest != nullptr ? *dest : temp(0);
+    const double v = ss.back();
+    for_rows(sh, [&](long long i, long long j) {
+      double* o = row(d, i, j);
+      std::fill(o, o + sh.n2, v);
+    });
+    return as_view(d);
   }
-  ZC_ASSERT(vd == 0 && ss.size() == 1);
-  vb[0].assign(n, ss.back());
-  return vb[0];
+  ZC_ASSERT(vd == 1 && ss.empty());
+  View result = vs[0];
+  if (dest == nullptr || result.base == dest->base) return result;
+  if (via_temp && last->op == ExprStep::Op::kLoad) {
+    // A bare shifted load of the destination itself: stage it.
+    const Dest t = temp(0);
+    copy_rows(sh, result, t);
+    result = as_view(t);
+  }
+  copy_rows(sh, result, *dest);
+  return as_view(*dest);
+}
+
+double fold_view(zir::ReduceOp op, const rt::Box& box, const View& values) {
+  const Shape sh = shape_of(box);
+  double acc = rt::reduce_identity(op);
+  for_rows(sh, [&](long long i, long long j) {
+    const double* x = row(values, i, j);
+    for (long long k = 0; k < sh.n2; ++k) acc = rt::reduce_combine(op, acc, x[k]);
+  });
+  return acc;
 }
 
 // ---------------------------------------------------------------------------
@@ -333,6 +529,7 @@ class Lowerer {
         ca.stmt = &s;
         ca.lhs_array = s.lhs_array.index();
         ca.rhs = compile_expr(p_, s.rhs);
+        ca.via_temp = last_step_reads_shifted(p_, s.rhs, s.lhs_array);
         ca.per_elem_cost = per_elem_cost(s.rhs);
         ZC_ASSERT(s.region.has_value());
         ca.region_static = s.region->is_static();

@@ -11,10 +11,14 @@
 //   * control flow (loops, branches, calls, comm insertion points) becomes
 //     a flat instruction array with jump targets — calls are inlined
 //     (validation guarantees no recursion), block plans are pre-resolved;
-//   * expressions become postfix stack programs over pooled buffers —
-//     no per-node allocation, operands pre-bound to array / scalar slots;
+//   * expressions become postfix programs over strided views of local
+//     storage: an operand is read where it lives, each step picks its
+//     operator once per box rather than once per element, and the last step
+//     writes straight into the LHS — no per-node allocation, no operand
+//     copies;
 //   * statement cost metadata (flops, arrays touched) and loop-invariant
-//     ("static") region boxes are evaluated once;
+//     ("static") region boxes are evaluated once, and so are a static
+//     statement's active processors with their operands' storage offsets;
 //   * communication geometry — the point-to-point messages a CommGroup
 //     decomposes into — is cached per evaluated member-region key, with
 //     transport channels pre-resolved per message.
@@ -26,6 +30,7 @@
 // pins it.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -41,8 +46,26 @@
 namespace zc::sim {
 
 // ---------------------------------------------------------------------------
-// Compiled expressions: postfix programs over a scalar stack and a bank of
-// vector buffers (one per stack depth, reused across evaluations).
+// Compiled expressions: postfix programs whose vector stack holds strided
+// views of row-major boxes, not copies. A load pushes a view of its operand
+// where it lives in local storage. kLoadIndex and each arithmetic step
+// choose their operator once, then run one loop nest whose inner loop walks
+// the contiguous elements of a row; the result goes to a temporary (in
+// place when the left operand already is one) or, for the last step,
+// straight into the destination.
+
+/// Where a box's elements live, row-major: element (i, j, k) of the box,
+/// counted from its low corner with k along the last dimension, is at
+/// base[i * s0 + j * s1 + k]. Rank-2 boxes have i = 0 and rank-1 boxes
+/// i = j = 0, so their unused strides are 0.
+template <class T>
+struct Rows {
+  T* base = nullptr;
+  long long s0 = 0;
+  long long s1 = 0;
+};
+using View = Rows<const double>;
+using Dest = Rows<double>;
 
 struct ExprStep {
   enum class Op : std::uint8_t {
@@ -52,31 +75,39 @@ struct ExprStep {
     kConfigS,    ///< push config value a
     kBinSS,      ///< scalar ⊗ scalar
     kUnS,        ///< scalar unary
-    kLoadArray,  ///< push vector: read_box(box) of array a
-    kLoadShift,  ///< push vector: read_box(box @ direction b) of array a
+    kLoad,       ///< push the view of the next ExprProg::loads operand
     kLoadIndex,  ///< push vector: global index in (1-based) dimension a
-    kBinVV,      ///< vector ⊗ vector, in place into the left operand
+    kBinVV,      ///< vector ⊗ vector
     kBinVS,      ///< vector ⊗ scalar
     kBinSV,      ///< scalar ⊗ vector
-    kUnV,        ///< vector unary, in place
+    kUnV,        ///< vector unary
   };
   Op op = Op::kConstS;
   zir::BinOp bin_op = zir::BinOp::kAdd;
   zir::UnOp un_op = zir::UnOp::kNeg;
-  std::int32_t a = 0;  ///< array / scalar / config / loop-var / dimension
-  std::int32_t b = 0;  ///< direction index (kLoadShift)
+  std::int32_t a = 0;  ///< scalar / config / loop-var / dimension
   double value = 0.0;  ///< kConstS literal
+};
+
+/// One array operand of an expression: the array and the shift it is read
+/// at.
+struct ExprLoad {
+  std::int32_t array = 0;
+  bool shifted = false;                     ///< an A@d read
+  std::array<int, rt::kMaxRank> offsets{};  ///< the direction's, 0-padded
 };
 
 struct ExprProg {
   std::vector<ExprStep> steps;
-  bool is_vec = false;  ///< result kind; scalar results splat over the box
-  int max_vdepth = 0;   ///< vector-stack high-water mark
+  std::vector<ExprLoad> loads;  ///< array operands, in evaluation order
+  bool is_vec = false;          ///< result kind; scalar results splat over the box
+  int max_vdepth = 0;           ///< vector-stack high-water mark
 };
 
 /// Reusable evaluation scratch shared by every ExprProg of a run.
 struct ExprScratch {
-  std::vector<std::vector<double>> vbufs;  // indexed by vector-stack depth
+  std::vector<View> vstack;
+  std::vector<std::vector<double>> temps;  ///< step results, one per stack depth
   std::vector<double> sstack;
 };
 
@@ -84,15 +115,48 @@ struct ExprScratch {
 /// engine compiles reduce operands individually).
 ExprProg compile_expr(const zir::Program& program, zir::ExprId id);
 
-/// Evaluates `prog` over `box` for one processor's state. Returns the
-/// row-major result (box.count() elements) as a reference into `scratch`,
-/// valid until the next call. Bit-identical to Evaluator::eval_vector on
-/// the source expression, including the out-of-bounds shift error.
-const std::vector<double>& eval_expr_prog(const ExprProg& prog, const zir::Program& program,
-                                          const std::vector<rt::LocalArray>& arrays,
-                                          const std::vector<double>& scalars,
-                                          const zir::IntEnv& env, const rt::Box& box,
-                                          ExprScratch& scratch);
+/// True when writing the last step of `rhs`'s program straight into
+/// `array`'s storage could overwrite elements that step still reads: one of
+/// its own operands, or the bare load that is the whole expression, reads
+/// `array` at a nonzero shift. Earlier steps finish before the last one
+/// writes, so their reads never matter.
+bool last_step_reads_shifted(const zir::Program& program, zir::ExprId rhs, zir::ArrayId array);
+
+/// The storage offset at which load `ld` of target box `box` starts in
+/// `a`, after checking that `a`'s storage covers the (shifted) box. Throws
+/// the reference evaluator's error otherwise (rt::uncovered_read_error).
+long long resolve_load(const ExprLoad& ld, const zir::Program& program, const rt::LocalArray& a,
+                       const rt::Box& box);
+
+/// The rows of `a`'s storage from `offset` on, for a box of `a`'s rank.
+View view_at(const rt::LocalArray& a, long long offset);
+Dest dest_at(rt::LocalArray& a, long long offset);
+
+/// Points `views` (resized to prog.loads.size()) at every load of `prog`
+/// over `box` in one processor's `arrays`, in order, throwing as
+/// resolve_load does at the first load its storage does not cover.
+void resolve_views(const ExprProg& prog, const zir::Program& program,
+                   const std::vector<rt::LocalArray>& arrays, const rt::Box& box,
+                   std::vector<View>& views);
+
+/// Evaluates `prog` over `box` for one processor. `loads` holds the view
+/// of every entry of prog.loads (resolve_views).
+///
+/// With `dest`, the result is stored there and *dest's view is returned.
+/// The last step writes straight into *dest, or, when `via_temp`, into one
+/// temporary that is then copied (see last_step_reads_shifted). Without
+/// `dest`, returns where the result lives: an operand's own view for a bare
+/// load, else a temporary in `scratch`, valid until the next call.
+///
+/// Bit-identical to Evaluator::eval_vector on the source expression: each
+/// element gets the same operations on the same operands in the same order.
+View eval_expr_prog(const ExprProg& prog, const rt::Box& box, const View* loads,
+                    const std::vector<double>& scalars, const zir::IntEnv& env,
+                    ExprScratch& scratch, const Dest* dest = nullptr, bool via_temp = false);
+
+/// Folds the elements at `values`, rows of `box`, into `op`'s identity in
+/// row-major order: the reference's order.
+double fold_view(zir::ReduceOp op, const rt::Box& box, const View& values);
 
 // ---------------------------------------------------------------------------
 // Instruction stream.
@@ -125,6 +189,7 @@ struct CompiledAssign {
   const zir::Stmt* stmt = nullptr;
   std::int32_t lhs_array = 0;
   ExprProg rhs;
+  bool via_temp = false;  ///< last_step_reads_shifted of the statement
   /// flops·flop_time + arrays_touched·elem_mem_time, precomputed with the
   /// exact expression shape of the reference interpreter's cost model.
   double per_elem_cost = 0.0;
@@ -133,7 +198,9 @@ struct CompiledAssign {
 
   /// Lazily-built active-processor cache for static regions: the processors
   /// whose owned block intersects the region, ascending, with local boxes
-  /// and full statement cost precomputed.
+  /// and full statement cost precomputed. `offsets` holds, per active, the
+  /// storage offset of the LHS and then of each of rhs.loads, resolved and
+  /// bounds-checked once.
   struct Active {
     int proc = 0;
     rt::Box local;
@@ -141,6 +208,7 @@ struct CompiledAssign {
   };
   bool actives_ready = false;
   std::vector<Active> actives;
+  std::vector<long long> offsets;  ///< 1 + rhs.loads.size() per active
 };
 
 struct CompiledScalarStmt {

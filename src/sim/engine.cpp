@@ -10,7 +10,11 @@
 // hooks — exactly, not merely its aggregates. Per instruction it touches
 // only the processors the instruction concerns (the statement's active set,
 // a message's endpoints), which is what drops the per-statement cost from
-// O(procs) to O(active).
+// O(procs) to O(active). An array statement's active set comes from the
+// distribution (BlockDist::owners), cached with every operand's storage
+// offset for static regions; each active processor evaluates the
+// right-hand side in place, reading operands where they live and writing
+// straight into its LHS storage (src/sim/bytecode.h).
 //
 // Why the clocks stay bit-identical. Uniform all-processor bumps (scalar
 // statements, branches, loop bookkeeping) go through the deferred bump log,
@@ -123,12 +127,15 @@ void Engine::exec_assign(CompiledAssign& ca) {
                 st_.program.array(stmt.lhs_array).name + "'");
   }
   const std::size_t a = static_cast<std::size_t>(ca.lhs_array);
+  const std::vector<ExprLoad>& loads = ca.rhs.loads;
   const machine::MachineModel& model = st_.config.machine;
 
-  const auto run_one = [&](int proc, const rt::Box& local, double cost) {
-    const std::vector<double>& buf = eval_expr_prog(ca.rhs, st_.program, st_.arrays[proc],
-                                                    st_.scalars, st_.env, local, scratch_);
-    st_.arrays[proc][a].write_box(local, buf.data());
+  // Evaluates the statement on one processor, straight into its LHS
+  // storage, once views_ holds the operands' views.
+  const auto run_one = [&](int proc, const rt::Box& local, double cost, long long lhs_offset) {
+    const Dest dest = dest_at(st_.arrays[proc][a], lhs_offset);
+    eval_expr_prog(ca.rhs, local, views_.data(), st_.scalars, st_.env, scratch_, &dest,
+                   ca.via_temp);
     touch(proc);
     const double t0 = st_.clocks[proc];
     st_.clocks[proc] += cost;
@@ -140,30 +147,58 @@ void Engine::exec_assign(CompiledAssign& ca) {
     }
   };
 
-  if (ca.region_static) {
-    if (!ca.actives_ready) {
-      for (int proc = 0; proc < st_.mesh.procs(); ++proc) {
-        const rt::Box& owned = st_.arrays[proc][a].owned();
+  // dist.owners(region) is a superset of the processors whose clamped owned
+  // block meets the region, ascending, so the emptiness filters below visit
+  // the reference's processors in the reference's order.
+  if (ca.region_static && !ca.actives_ready) {
+    ca.actives_ready = true;
+    st_.dist.owners(region, owners_);
+    try {
+      for (const int proc : owners_) {
+        const std::vector<rt::LocalArray>& arrays = st_.arrays[proc];
+        const rt::Box& owned = arrays[a].owned();
         if (owned.empty()) continue;
         const rt::Box local = region.intersect(owned);
         if (local.empty()) continue;
+        ca.offsets.push_back(arrays[a].offset_of(local));
+        for (const ExprLoad& ld : loads) {
+          ca.offsets.push_back(resolve_load(ld, st_.program, arrays[ld.array], local));
+        }
         const double cost =
             model.stmt_overhead + static_cast<double>(local.count()) * ca.per_elem_cost;
         ca.actives.push_back({proc, local, cost});
       }
-      ca.actives_ready = true;
+    } catch (const Error&) {
+      // Some processor reads outside its storage. Leave the statement to
+      // the per-execution path below, which runs the processors before it
+      // and then raises the error, as the reference does.
+      ca.region_static = false;
     }
-    for (const CompiledAssign::Active& act : ca.actives) run_one(act.proc, act.local, act.cost);
+  }
+  if (ca.region_static) {
+    views_.resize(loads.size());
+    const long long* off = ca.offsets.data();
+    for (const CompiledAssign::Active& act : ca.actives) {
+      const std::vector<rt::LocalArray>& arrays = st_.arrays[act.proc];
+      for (std::size_t k = 0; k < loads.size(); ++k) {
+        views_[k] = view_at(arrays[loads[k].array], off[1 + k]);
+      }
+      run_one(act.proc, act.local, act.cost, off[0]);
+      off += 1 + loads.size();
+    }
     return;
   }
-  for (int proc = 0; proc < st_.mesh.procs(); ++proc) {
-    const rt::Box& owned = st_.arrays[proc][a].owned();
+  st_.dist.owners(region, owners_);
+  for (const int proc : owners_) {
+    const std::vector<rt::LocalArray>& arrays = st_.arrays[proc];
+    const rt::Box& owned = arrays[a].owned();
     if (owned.empty()) continue;
     const rt::Box local = region.intersect(owned);
     if (local.empty()) continue;
+    resolve_views(ca.rhs, st_.program, arrays, local, views_);
     const double cost =
         model.stmt_overhead + static_cast<double>(local.count()) * ca.per_elem_cost;
-    run_one(proc, local, cost);
+    run_one(proc, local, cost, arrays[a].offset_of(local));
   }
 }
 
@@ -194,11 +229,11 @@ void Engine::exec_reduce(CompiledReduce& cr) {
       continue;
     }
     for (std::size_t k = 0; k < cr.ops.size(); ++k) {
-      const std::vector<double>& buf = eval_expr_prog(cr.operands[k], st_.program, st_.arrays[proc],
-                                                      st_.scalars, st_.env, local, scratch_);
-      double acc = rt::reduce_identity(cr.ops[k]);
-      for (const double x : buf) acc = rt::reduce_combine(cr.ops[k], acc, x);
-      global[k] = rt::reduce_combine(cr.ops[k], global[k], acc);
+      const ExprProg& operand = cr.operands[k];
+      resolve_views(operand, st_.program, st_.arrays[proc], local, views_);
+      const View values =
+          eval_expr_prog(operand, local, views_.data(), st_.scalars, st_.env, scratch_);
+      global[k] = rt::reduce_combine(cr.ops[k], global[k], fold_view(cr.ops[k], local, values));
     }
     touch(proc);
     const double t0 = st_.clocks[proc];

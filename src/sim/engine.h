@@ -98,6 +98,8 @@ class Engine {
   std::vector<ForFrame> for_stack_;
 
   // Reusable scratch (fully rewritten before each use).
+  std::vector<View> views_;  ///< the operand views of one evaluation
+  std::vector<int> owners_;  ///< a region's candidate processors
   std::vector<double> reduce_acc_;
   std::vector<rt::Box> member_boxes_;
   std::vector<long long> geom_key_;

@@ -27,6 +27,7 @@
 #include "src/programs/programs.h"
 #include "src/sim/engine.h"
 #include "src/sim/reference.h"
+#include "src/support/diag.h"
 #include "src/trace/stats.h"
 #include "src/tseries/tseries.h"
 
@@ -92,8 +93,67 @@ procedure main() {
 }
 )zpl";
 
+/// Statements whose last step reads their own LHS at a nonzero shift, over
+/// regions where the shifted read overlaps the write: the engine must stage
+/// those through a temporary, as the reference stages every statement. Both
+/// directions of every dimension of a rank-2 and a rank-3 array, over static
+/// regions and over regions bounded by the loop variable.
+constexpr std::string_view kAliasingSource = R"zpl(
+program aliasing;
+
+config n     : integer = 12;
+config m     : integer = 6;
+config iters : integer = 3;
+
+region R  = [0..n+1, 0..n+1];
+region I  = [1..n, 1..n];
+region R3 = [0..m+1, 0..m+1, 0..m+1];
+region I3 = [1..m, 1..m, 1..m];
+
+direction north = [-1, 0], south = [1, 0], east = [0, 1], west = [0, -1];
+direction ip = [1, 0, 0], im = [-1, 0, 0], jp = [0, 1, 0], jm = [0, -1, 0],
+          kp = [0, 0, 1], km = [0, 0, -1];
+
+var A : [R] double;
+var V : [R3] double;
+var s, t : double;
+
+procedure main() {
+  [R] A := Index1 + 0.01 * Index2 * Index2;
+  [R3] V := Index1 + 0.1 * Index2 + 0.01 * Index3 * Index3;
+  for it in 1..iters {
+    [I] A := A@north + A@south;
+    [I] A := A@east + A@west;
+    [I] A := 0.5 * A@west;
+    [I] A := 0.5 * A@south;
+    [I] A := -A@east;
+    [I] A := -A@north;
+    [I] A := A@north;
+    [I] A := A@east;
+    [1..it+1, 1..n] A := A@south + A@north;
+    [1..n, 1..it+1] A := 0.5 * A@east;
+    [1..it+1, 1..n] A := -A@south;
+    [1..n, 1..it+1] A := A@west;
+
+    [I3] V := V@ip + V@im;
+    [I3] V := 0.5 * V@jp;
+    [I3] V := -V@km;
+    [I3] V := V@kp;
+    [I3] V := 0.5 * V@im;
+    [I3] V := -V@jm;
+    [1..it+1, 1..m, 1..m] V := -V@ip;
+    [1..m, 1..it+1, 1..m] V := V@jp + V@jm;
+    [1..m, 1..m, 1..it+1] V := 0.5 * V@kp;
+    [1..m, 1..m, 1..it+1] V := V@km;
+
+    [I] s := +<< A;
+    [I3] t := +<< V;
+  }
+}
+)zpl";
+
 /// One program under test: a paper benchmark at its test-scale configs, or
-/// the control-construct program at its defaults.
+/// the control-construct or aliasing program at its defaults.
 struct ProgramCase {
   std::string name;
   std::string_view source;
@@ -106,6 +166,8 @@ ProgramCase benchmark_case(const std::string& bench) {
 }
 
 ProgramCase constructs_case() { return {"constructs", kConstructsSource, {}}; }
+
+ProgramCase aliasing_case() { return {"aliasing", kAliasingSource, {}}; }
 
 /// The seven optimization configurations report_test pins pass provenance
 /// on: the four levels plus inter-block, max-latency, and hybrid variants.
@@ -211,13 +273,14 @@ void expect_bit_identical(const sim::RunResult& lock, const sim::RunResult& even
   EXPECT_EQ(exec::result_checksum(lock), exec::result_checksum(event));
 }
 
-// The headline golden: 4 benchmarks + the control-construct program x 7
-// option sets x 5 library bindings, event vs reference, full RunResult
-// bit-identity.
+// The headline golden: 4 benchmarks + the control-construct and aliasing
+// programs x 7 option sets x 5 library bindings, event vs reference, full
+// RunResult bit-identity.
 TEST(EngineEvent, BitIdenticalAcrossBenchmarksOptionsAndLibraries) {
   std::vector<ProgramCase> cases;
   for (const std::string& bench : bench_names()) cases.push_back(benchmark_case(bench));
   cases.push_back(constructs_case());
+  cases.push_back(aliasing_case());
   for (const ProgramCase& pc : cases) {
     const zir::Program program = parser::parse_program(pc.source);
     for (const auto& [opt_label, opts] : option_matrix()) {
@@ -284,7 +347,7 @@ TEST(EngineEvent, TimelineMatchesLockstepExactly) {
 // geometry cache; oddball processor counts exercise ragged decompositions
 // and empty owned blocks.
 TEST(EngineEvent, BitIdenticalOnRaggedMeshes) {
-  for (const ProgramCase& pc : {benchmark_case("simple"), constructs_case()}) {
+  for (const ProgramCase& pc : {benchmark_case("simple"), constructs_case(), aliasing_case()}) {
     const zir::Program program = parser::parse_program(pc.source);
     const comm::CommPlan plan =
         comm::plan_communication(program, comm::OptOptions::for_level(comm::OptLevel::kPL));
@@ -293,6 +356,56 @@ TEST(EngineEvent, BitIdenticalOnRaggedMeshes) {
       const sim::RunResult lock = run_once(program, plan, lc, kReference, procs, pc.configs);
       const sim::RunResult event = run_once(program, plan, lc, kEvent, procs, pc.configs);
       expect_bit_identical(lock, event, pc.name + " / pl / procs=" + std::to_string(procs));
+    }
+  }
+}
+
+/// The error a run stops with, or "" when it completes.
+std::string run_error(const zir::Program& program, const comm::CommPlan& plan, Core core,
+                      int procs) {
+  try {
+    run_once(program, plan, library_cases()[0], core, procs, {});
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Reading an array over a box its storage does not cover is the program's
+// error, not the simulator's: both cores raise the same structured error,
+// naming the array, the box needed and the box held, for an assignment and
+// for a reduction operand, over static and loop-bounded regions, shifted
+// or not.
+TEST(EngineEvent, OutOfStorageReadsRaiseTheReferenceError) {
+  const std::string decls = R"zpl(
+program oob;
+config n : integer = 8;
+region R = [0..n+1, 0..n+1];
+region I = [1..n, 1..n];
+direction east = [0, 1];
+var A : [R] double;
+var B : [I] double;
+var s : double;
+)zpl";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"[R] A := B;", "read of 'B' outside its declared region (statement region exceeds it)"},
+      {"[1..n, 1..n+1] A := B;", "read of 'B' outside its declared region"},
+      {"[R] s := +<< B;", "read of 'B' outside its declared region (statement region exceeds it)"},
+      {"for i in 0..1 { [i..n, 1..n] A := 2.0 * B; }", "read of 'B' outside"},
+      {"[I] A := A + B@east;", "shifted read of 'B' outside its declared region"},
+      {"[I] s := +<< (1.0 + B@east);", "shifted read of 'B' outside its declared region"},
+  };
+  for (const auto& [body, fragment] : cases) {
+    const zir::Program program = parser::parse_program(
+        decls + "procedure main() {\n  [I] B := Index1;\n  " + body + "\n}\n");
+    const comm::CommPlan plan =
+        comm::plan_communication(program, comm::OptOptions::for_level(comm::OptLevel::kPL));
+    for (const int procs : {1, 4, 16}) {
+      SCOPED_TRACE(body + " / procs=" + std::to_string(procs));
+      const std::string want = run_error(program, plan, kReference, procs);
+      EXPECT_NE(want.find(fragment), std::string::npos) << want;
+      EXPECT_NE(want.find(", have ["), std::string::npos) << want;
+      EXPECT_EQ(run_error(program, plan, kEvent, procs), want);
     }
   }
 }

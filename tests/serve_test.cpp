@@ -407,6 +407,38 @@ TEST(Service, SurvivesAdversarialInputAndKeepsServing) {
   EXPECT_TRUE(ok.wait_for(R"("kind":"done")"));
 }
 
+TEST(Service, OutOfStorageReadEndsTheRequestInAnErrorAndServingGoesOn) {
+  exec::PlanCache cache;
+  ServiceOptions sopts;
+  sopts.jobs = 1;
+  sopts.plan_cache = &cache;
+  Service service(sopts);
+
+  // `[R] A := B` reads B over R, but B only exists over I: the run stops
+  // with a structured error naming B, not with an abort of the daemon.
+  Collector c;
+  service.handle_line(
+      "t",
+      R"({"v":1,"cmd":"optimize","id":"oob","run":true,"procs":4,"source":)"
+      R"("program oob; config n : integer = 8; region R = [0..n+1, 0..n+1]; )"
+      R"(region I = [1..n, 1..n]; var A : [R] double; var B : [I] double; )"
+      R"(procedure main() { [R] A := B; }"})",
+      c.emit());
+  ASSERT_TRUE(c.wait_for(R"("kind":"error")"));
+  const json::Value err = json::parse(c.snapshot().back());
+  EXPECT_EQ(err.at("id").string, "oob");
+  EXPECT_NE(err.at("error").at("message").string.find("read of 'B' outside its declared region"),
+            std::string::npos)
+      << err.dump(0);
+
+  Collector ping;
+  EXPECT_TRUE(service.handle_line("t", R"({"v":1,"cmd":"ping","id":"after"})", ping.emit()));
+  ASSERT_TRUE(ping.wait_for(R"("kind":"pong")"));
+  Collector ok;
+  service.handle_line("t", kOptimizeJacobi, ok.emit());
+  EXPECT_TRUE(ok.wait_for(R"("kind":"done")"));
+}
+
 // ----------------------------------------------------------- observability
 
 TEST(Protocol, ParsesTheFlightCommand) {
